@@ -2,8 +2,11 @@
 
 Detections from all views are grouped into identity clusters by greedy
 view-by-view bipartite matching against running cluster centers on the
-ground plane, then each cluster keeps its K largest-box members. Runs once
-per frame on the server thread; pure function of its inputs.
+ground plane, then each cluster keeps its K largest-box members. The
+center-to-detection distance matrix comes from ``gated_distances``: its
+finite entries equal ``GroundPoint.distance_to`` bit for bit, and the pairs
+it leaves at inf are outside the eps gate either way. Runs once per frame on
+the server thread; pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .detector import Detection, DetectionSet
-from .geometry import BlockGrid, GroundPoint, blocks_for_bbox
+from .geometry import BlockGrid, GroundPoint, bbox_block_mask, gated_distances
 
 
 @dataclass
@@ -97,10 +100,7 @@ def cluster_detections(views: list[DetectionSet], eps: float) -> list[Cluster]:
     clusters = [Cluster([d]) for d in views[0]]
     for view in views[1:]:
         dets = list(view)
-        centers = [cl.center for cl in clusters]
-        cost = np.array(
-            [[c.distance_to(d.ground) for d in dets] for c in centers], dtype=float
-        ).reshape(len(centers), len(dets))
+        cost = gated_distances([cl.center for cl in clusters], [d.ground for d in dets], eps)
         pairs, _, unmatched = match_bipartite(cost, eps)
         for ci, di in pairs:
             clusters[ci].add(dets[di])
@@ -121,11 +121,5 @@ def assign_cameras(
         ranked = sorted(cluster.members, key=lambda d: (-d.bbox.area, d.camera_id))
         for det in ranked[: min(k, len(ranked))]:
             selected.setdefault(det.camera_id, []).append(det)
-    masks = {}
-    for cam_id in sorted(selected):
-        mask = np.zeros(grid.shape, dtype=np.uint8)
-        for det in selected[cam_id]:
-            for r, c in blocks_for_bbox(grid, det.bbox):
-                mask[r, c] = 1
-        masks[cam_id] = mask
+    masks = {c: bbox_block_mask(grid, [d.bbox for d in selected[c]]) for c in sorted(selected)}
     return TopKSelection({c: tuple(v) for c, v in selected.items()}, masks)

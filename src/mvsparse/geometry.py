@@ -44,6 +44,27 @@ class GroundPoint:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
+def gated_distances(a: list[GroundPoint], b: list[GroundPoint], eps: float) -> np.ndarray:
+    """(len(a), len(b)) ground distances, inf for pairs that are surely >= eps.
+
+    A numpy box test |dx| < eps and |dy| < eps selects the candidate pairs,
+    and only those get ``math.hypot``, so every finite entry equals
+    ``a[i].distance_to(b[j])`` bit for bit (np.hypot does not). Pairs outside
+    the box are at least eps apart, since hypot(dx, dy) >= max(|dx|, |dy|),
+    so a ``< eps`` gate reads the same on this matrix as on the full one.
+    """
+    pa = np.array([(p.x, p.y) for p in a], dtype=float).reshape(-1, 2)
+    pb = np.array([(p.x, p.y) for p in b], dtype=float).reshape(-1, 2)
+    dx = pa[:, None, 0] - pb[None, :, 0]
+    dy = pa[:, None, 1] - pb[None, :, 1]
+    out = np.full(dx.shape, np.inf)
+    rows, cols = np.nonzero((np.abs(dx) < eps) & (np.abs(dy) < eps))
+    out[rows, cols] = [
+        math.hypot(x, y) for x, y in zip(dx[rows, cols].tolist(), dy[rows, cols].tolist())
+    ]
+    return out
+
+
 @dataclass(frozen=True)
 class ImagePoint:
     """Pixel coordinates, u right / v down."""

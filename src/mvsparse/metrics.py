@@ -3,7 +3,9 @@
 Detection and tracking quality are both measured on the ground plane with a
 fixed match radius. Identity scores follow the standard global-assignment
 definition: per-frame co-presence within the radius feeds a single optimal
-GT-identity to track-identity assignment at finalize time.
+GT-identity to track-identity assignment at finalize time. Distance matrices
+come from ``gated_distances``, bit-equal to ``GroundPoint.distance_to``
+inside the radius.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .association import match_bipartite
 from .detector import Detection
-from .geometry import BlockGrid, GroundPoint, blocks_for_bbox
+from .geometry import BBox, BlockGrid, GroundPoint, bbox_block_mask, gated_distances
 
 DEFAULT_MATCH_RADIUS = 0.5
 
@@ -28,9 +30,7 @@ def _match_points(
     gt: list[GroundPoint], pred: list[GroundPoint], radius: float
 ) -> list[tuple[int, int, float]]:
     """Gated Hungarian matching on ground distance."""
-    if not gt or not pred:
-        return []
-    cost = np.array([[g.distance_to(p) for p in pred] for g in gt])
+    cost = gated_distances(gt, pred, radius)
     pairs, _, _ = match_bipartite(cost, radius)
     return [(r, c, float(cost[r, c])) for r, c in pairs]
 
@@ -78,15 +78,14 @@ class MetricAccumulator:
         gt: list[tuple[int, GroundPoint]],
         tracks: list[tuple[int, GroundPoint]],
     ) -> None:
-        gt_points = [p for _, p in gt]
-        trk_points = [p for _, p in tracks]
-        matches = _match_points(gt_points, trk_points, self.match_radius)
+        dist = gated_distances([p for _, p in gt], [p for _, p in tracks], self.match_radius)
+        matches, _, _ = match_bipartite(dist, self.match_radius)
         self.trk_frames += 1
         self.trk_gt_total += len(gt)
         self.trk_pred_total += len(tracks)
         self.trk_fp += len(tracks) - len(matches)
         self.trk_fn += len(gt) - len(matches)
-        for gi, ti, _ in matches:
+        for gi, ti in matches:
             gt_id = gt[gi][0]
             trk_id = tracks[ti][0]
             prev = self._last_matched.get(gt_id)
@@ -94,11 +93,9 @@ class MetricAccumulator:
                 self.id_switches += 1
             self._last_matched[gt_id] = trk_id
         # identity co-presence feeds the global IDF1 assignment
-        for gt_id, gp in gt:
-            for trk_id, tp_ in tracks:
-                if gp.distance_to(tp_) < self.match_radius:
-                    key = (gt_id, trk_id)
-                    self._co_presence[key] = self._co_presence.get(key, 0) + 1
+        for gi, ti in zip(*np.nonzero(dist < self.match_radius)):
+            key = (gt[gi][0], tracks[ti][0])
+            self._co_presence[key] = self._co_presence.get(key, 0) + 1
 
     def add_frame_resources(self, blocks: int, traffic_bytes: float) -> None:
         self.resource_frames += 1
@@ -111,9 +108,11 @@ class MetricAccumulator:
             return 0, self.trk_pred_total, self.trk_gt_total
         gt_ids = sorted({g for g, _ in self._co_presence})
         trk_ids = sorted({t for _, t in self._co_presence})
+        gt_row = {g: i for i, g in enumerate(gt_ids)}
+        trk_col = {t: j for j, t in enumerate(trk_ids)}
         gain = np.zeros((len(gt_ids), len(trk_ids)))
         for (g, t), n in self._co_presence.items():
-            gain[gt_ids.index(g), trk_ids.index(t)] = n
+            gain[gt_row[g], trk_col[t]] = n
         rows, cols = linear_sum_assignment(gain, maximize=True)
         idtp = int(gain[rows, cols].sum())
         return idtp, self.trk_pred_total - idtp, self.trk_gt_total - idtp
@@ -171,7 +170,7 @@ def oracle_select(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    masks = {cam: np.zeros(grid.shape, dtype=np.uint8) for cam in view_detections}
+    kept: dict[int, list[BBox]] = {cam: [] for cam in view_detections}
     per_target: dict[int, list[tuple[float, int, Detection]]] = {
         i: [] for i in range(len(gt_points))
     }
@@ -183,6 +182,5 @@ def oracle_select(
     for candidates in per_target.values():
         candidates.sort(key=lambda e: (e[0], e[1]))
         for dist, cam, det in candidates[: min(k, len(candidates))]:
-            for r, c in blocks_for_bbox(grid, det.bbox):
-                masks[cam][r, c] = 1
-    return masks
+            kept[cam].append(det.bbox)
+    return {cam: bbox_block_mask(grid, boxes) for cam, boxes in kept.items()}

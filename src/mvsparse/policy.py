@@ -18,16 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .detector import DetectionSet
+from .detector import DetectionSet, DimensionMismatch
 from .geometry import BBox, BlockGrid, GroundPoint
 
 logger = logging.getLogger(__name__)
 
 N_FEATURES = 7
-
-
-class DimensionMismatch(Exception):
-    pass
 
 
 class NonFiniteGradient(Exception):

@@ -26,7 +26,11 @@ TYPE_SERVER_FEEDBACK = 3
 TYPE_END_OF_SEQUENCE = 4
 
 _HEADER = struct.Struct("<4sBBI")
+_UPDATE_HEAD = struct.Struct("<IHBBH")  # frame, camera, rows, cols, detections
+_FEEDBACK_HEAD = struct.Struct("<IHBBdHH")  # frame, camera, rows, cols, tau, boxes, points
 _DET = struct.Struct("<6ddB")  # bbox x,y,w,h + ground x,y + score + stale flag
+_BOX = struct.Struct("<4d")
+_POINT = struct.Struct("<2d")
 
 
 class ProtocolError(Exception):
@@ -51,6 +55,10 @@ class TruncatedFrame(ProtocolError):
 
 class MalformedPayload(ProtocolError):
     pass
+
+
+class FrameTooLarge(ProtocolError):
+    """The header declares more payload than its message type can hold."""
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,20 @@ def _bitmap_nbytes(rows: int, cols: int) -> int:
     return (rows * cols + 7) // 8
 
 
+# Largest payload of each type the encoding can express: grid rows and cols
+# are one byte each and every record count is a uint16.
+_MAX_COUNT = 0xFFFF
+_MAX_BITMAP = _bitmap_nbytes(0xFF, 0xFF)
+MAX_PAYLOAD = {
+    TYPE_HELLO: 2,
+    TYPE_END_OF_SEQUENCE: 2,
+    TYPE_BLOCK_UPDATE: _UPDATE_HEAD.size + _MAX_BITMAP + _MAX_COUNT * _DET.size,
+    TYPE_SERVER_FEEDBACK: (
+        _FEEDBACK_HEAD.size + _MAX_BITMAP + _MAX_COUNT * (_BOX.size + _POINT.size)
+    ),
+}
+
+
 def _encode_detections(dets: tuple[Detection, ...]) -> bytes:
     out = bytearray()
     for d in dets:
@@ -176,16 +198,13 @@ def encode_message(msg: Message) -> bytes:
         mtype, payload = TYPE_END_OF_SEQUENCE, struct.pack("<H", msg.camera_id)
     elif isinstance(msg, BlockUpdate):
         rows, cols = msg.actions.shape
-        payload = struct.pack(
-            "<IHBBH", msg.frame_id, msg.camera_id, rows, cols, len(msg.detections)
-        )
+        payload = _UPDATE_HEAD.pack(msg.frame_id, msg.camera_id, rows, cols, len(msg.detections))
         payload += _pack_bitmap(msg.actions)
         payload += _encode_detections(msg.detections)
         mtype = TYPE_BLOCK_UPDATE
     elif isinstance(msg, ServerFeedback):
         rows, cols = msg.mask.shape
-        payload = struct.pack(
-            "<IHBBdHH",
+        payload = _FEEDBACK_HEAD.pack(
             msg.frame_id,
             msg.camera_id,
             rows,
@@ -196,9 +215,9 @@ def encode_message(msg: Message) -> bytes:
         )
         payload += _pack_bitmap(msg.mask)
         for b in msg.topk_boxes:
-            payload += struct.pack("<4d", b.x, b.y, b.w, b.h)
+            payload += _BOX.pack(b.x, b.y, b.w, b.h)
         for g in msg.fused_grounds:
-            payload += struct.pack("<2d", g.x, g.y)
+            payload += _POINT.pack(g.x, g.y)
         mtype = TYPE_SERVER_FEEDBACK
     else:
         raise TypeError(f"not a protocol message: {type(msg)!r}")
@@ -206,13 +225,12 @@ def encode_message(msg: Message) -> bytes:
 
 
 def _decode_block_update(payload: bytes) -> BlockUpdate:
-    head = struct.Struct("<IHBBH")
-    if len(payload) < head.size:
+    if len(payload) < _UPDATE_HEAD.size:
         raise TruncatedFrame("update payload shorter than its fixed header")
-    frame_id, camera_id, rows, cols, n_dets = head.unpack_from(payload)
+    frame_id, camera_id, rows, cols, n_dets = _UPDATE_HEAD.unpack_from(payload)
     if rows == 0 or cols == 0:
         raise MalformedPayload("empty block grid")
-    off = head.size
+    off = _UPDATE_HEAD.size
     nb = _bitmap_nbytes(rows, cols)
     if len(payload) < off + nb:
         raise TruncatedFrame("bitmap truncated")
@@ -222,37 +240,36 @@ def _decode_block_update(payload: bytes) -> BlockUpdate:
 
 
 def _decode_server_feedback(payload: bytes) -> ServerFeedback:
-    head = struct.Struct("<IHBBdHH")
-    if len(payload) < head.size:
+    if len(payload) < _FEEDBACK_HEAD.size:
         raise TruncatedFrame("feedback payload shorter than its fixed header")
-    frame_id, camera_id, rows, cols, tau, n_topk, n_fused = head.unpack_from(payload)
+    frame_id, camera_id, rows, cols, tau, n_topk, n_fused = _FEEDBACK_HEAD.unpack_from(payload)
     if rows == 0 or cols == 0:
         raise MalformedPayload("empty block grid")
-    off = head.size
+    off = _FEEDBACK_HEAD.size
     nb = _bitmap_nbytes(rows, cols)
     if len(payload) < off + nb:
         raise TruncatedFrame("bitmap truncated")
     mask = _unpack_bitmap(payload[off : off + nb], rows, cols)
     off += nb
-    if len(payload) < off + 32 * n_topk + 16 * n_fused:
+    if len(payload) < off + _BOX.size * n_topk + _POINT.size * n_fused:
         raise TruncatedFrame("feedback boxes truncated")
     boxes = []
     for i in range(n_topk):
-        x, y, w, h = struct.unpack_from("<4d", payload, off + 32 * i)
+        x, y, w, h = _BOX.unpack_from(payload, off + _BOX.size * i)
         try:
             boxes.append(BBox(x, y, w, h))
         except ValueError as exc:
             raise MalformedPayload(f"feedback box {i}: {exc}") from exc
-    off += 32 * n_topk
+    off += _BOX.size * n_topk
     grounds = [
-        GroundPoint(*struct.unpack_from("<2d", payload, off + 16 * i)) for i in range(n_fused)
+        GroundPoint(*_POINT.unpack_from(payload, off + _POINT.size * i)) for i in range(n_fused)
     ]
     return ServerFeedback(frame_id, camera_id, tau, tuple(boxes), mask, tuple(grounds))
 
 
-def decode_message(data: bytes) -> tuple[Message, int]:
-    """Decode one frame from the head of ``data``; returns (message, bytes
-    consumed). Every malformed prefix raises a ProtocolError subclass."""
+def _parse_header(data: bytes) -> tuple[int, int]:
+    """(message type, payload length) of the frame header at the head of
+    ``data``, checked against ``MAX_PAYLOAD`` before any payload is read."""
     if len(data) < _HEADER.size:
         raise TruncatedFrame(f"need {_HEADER.size} header bytes, have {len(data)}")
     magic, version, mtype, length = _HEADER.unpack_from(data)
@@ -260,8 +277,17 @@ def decode_message(data: bytes) -> tuple[Message, int]:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise VersionMismatch(f"version {version}, expected {VERSION}")
-    if mtype not in (TYPE_HELLO, TYPE_BLOCK_UPDATE, TYPE_SERVER_FEEDBACK, TYPE_END_OF_SEQUENCE):
+    if mtype not in MAX_PAYLOAD:
         raise UnknownType(f"unknown message type {mtype}")
+    if length > MAX_PAYLOAD[mtype]:
+        raise FrameTooLarge(f"type {mtype} payload of {length} bytes, limit {MAX_PAYLOAD[mtype]}")
+    return mtype, length
+
+
+def decode_message(data: bytes) -> tuple[Message, int]:
+    """Decode one frame from the head of ``data``; returns (message, bytes
+    consumed). Every malformed prefix raises a ProtocolError subclass."""
+    mtype, length = _parse_header(data)
     if len(data) < _HEADER.size + length:
         raise TruncatedFrame(f"payload length {length} exceeds buffer")
     payload = data[_HEADER.size : _HEADER.size + length]
@@ -285,9 +311,11 @@ def decode_message(data: bytes) -> tuple[Message, int]:
 
 
 def read_message(sock) -> Message:
-    """Blocking read of exactly one protocol frame from a socket."""
+    """Blocking read of exactly one protocol frame from a socket. The header
+    is checked first, so a bad one raises before any payload is received and
+    no read is larger than ``MAX_PAYLOAD`` allows."""
     header = _recv_exact(sock, _HEADER.size)
-    magic, version, mtype, length = _HEADER.unpack(header)
+    _, length = _parse_header(header)
     body = _recv_exact(sock, length) if length else b""
     msg, _ = decode_message(header + body)
     return msg

@@ -1,13 +1,14 @@
 """Ground-plane multi-object tracker.
 
 Constant-velocity Kalman filters over (x, y, vx, vy), associated to fused
-detections by IoU of fixed-size squares centered on the ground points.
-Single-owner on the server; strictly sequential per frame.
+detections by IoU of fixed-size squares centered on the ground points. The
+IoU matrix is one numpy broadcast that equals the scalar ``square_iou`` bit
+for bit. Single-owner on the server; strictly sequential per frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +54,16 @@ def square_iou(a: GroundPoint, b: GroundPoint, side: float) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
+    return inter / (2.0 * side * side - inter)
+
+
+def square_iou_matrix(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
+    """``square_iou`` of every (n, 2) center in a against every (m, 2) center
+    in b, as one broadcast. It runs the same IEEE operations in the same
+    order, so each entry equals the scalar definition bit for bit."""
+    ix = side - np.abs(a[:, None, 0] - b[None, :, 0])
+    iy = side - np.abs(a[:, None, 1] - b[None, :, 1])
+    inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
     return inter / (2.0 * side * side - inter)
 
 
@@ -117,16 +128,20 @@ class GroundTracker:
         """Match predicted tracks to fused detections and run the update step.
 
         Matching is Hungarian on (1 - IoU) of the association squares; pairs
-        with IoU at or below the threshold stay unmatched. Unmatched
-        detections open new tracks, tracks over the miss budget retire.
+        with IoU at or below the threshold stay unmatched. The tracks x
+        detections IoU matrix is one ``square_iou_matrix`` broadcast, equal
+        bit for bit to ``square_iou`` of every pair. Unmatched detections
+        open new tracks, tracks over the miss budget retire.
         """
         self._frame_count += 1
         side = self.cfg.square_side
         matched_tracks: set[int] = set()
         matched_dets: set[int] = set()
         if self.tracks and fused:
-            iou = np.array(
-                [[square_iou(t.position, d.ground, side) for d in fused] for t in self.tracks]
+            iou = square_iou_matrix(
+                np.array([t.mean[:2] for t in self.tracks]),
+                np.array([(d.ground.x, d.ground.y) for d in fused]),
+                side,
             )
             # gate: pairs with IoU at or below the threshold are unmatchable
             pairs, _, _ = match_bipartite(

@@ -107,6 +107,11 @@ class TestExtractBlockFeatures:
         with pytest.raises(DimensionMismatch):
             extract_block_features(state, GRID, CFG)
 
+    def test_dimension_mismatch_is_the_detector_exception(self):
+        from mvsparse import detector
+
+        assert DimensionMismatch is detector.DimensionMismatch
+
 
 class TestForward:
     def test_zero_weights_give_half(self):

@@ -1,3 +1,6 @@
+import socket
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from mvsparse.runtime.protocol import (
     BadMagic,
     BlockUpdate,
     EndOfSequence,
+    FrameTooLarge,
     Hello,
     ProtocolError,
     ServerFeedback,
@@ -18,6 +22,8 @@ from mvsparse.runtime.protocol import (
     block_payload_bytes,
     decode_message,
     encode_message,
+    read_message,
+    send_message,
 )
 
 
@@ -144,6 +150,47 @@ class TestTypedErrors:
                 decode_message(bytes(data[:n]))
             except ProtocolError:
                 pass
+
+
+def _header(magic=b"MVSP", version=1, mtype=2, length=0):
+    return struct.pack("<4sBBI", magic, version, mtype, length)
+
+
+@pytest.fixture
+def sock_pair():
+    a, b = socket.socketpair()
+    b.settimeout(5.0)
+    yield a, b
+    a.close()
+    b.close()
+
+
+class TestReadMessage:
+    def test_round_trip_over_socket(self, sock_pair):
+        a, b = sock_pair
+        send_message(a, sample_update())
+        send_message(a, Hello(4))
+        assert read_message(b) == sample_update()
+        assert read_message(b) == Hello(4)
+
+    def test_oversized_length_rejected_before_body_read(self, sock_pair):
+        a, b = sock_pair
+        a.sendall(_header(length=0xFFFFFFFF) + b"rest")
+        with pytest.raises(FrameTooLarge):
+            read_message(b)
+        # nothing past the header was consumed
+        assert b.recv(16) == b"rest"
+
+    def test_bad_magic_rejected_before_body_read(self, sock_pair):
+        a, b = sock_pair
+        a.sendall(_header(magic=b"XXXX", length=0xFFFFFFFF) + b"rest")
+        with pytest.raises(BadMagic):
+            read_message(b)
+        assert b.recv(16) == b"rest"
+
+    def test_decode_applies_the_same_bound(self):
+        with pytest.raises(FrameTooLarge):
+            decode_message(_header(mtype=1, length=3) + b"\x00" * 3)
 
 
 class TestAccountTraffic:
