@@ -7,111 +7,9 @@ agents. The deep detection backbone is replaced by a controllable simulated
 detector so the algorithmic behavior is fully verifiable at desk scale.
 """
 
-from .association import Cluster, TopKSelection, assign_cameras, cluster_detections, match_bipartite
-from .detector import (
-    Detection,
-    DetectionSet,
-    DetectorConfig,
-    FusedDetection,
-    ViewState,
-    fuse_ground_plane,
-    simulate_view_detections,
-)
-from .geometry import (
-    BBox,
-    BlockGrid,
-    CameraModel,
-    GroundPoint,
-    ImagePoint,
-    blocks_for_bbox,
-    camera_from_pose,
-    project_ground_to_image,
-    project_image_to_ground,
-)
-from .metrics import MetricAccumulator, oracle_select
-from .policy import (
-    BlockActions,
-    PolicyAgent,
-    PolicyConfig,
-    PolicyParams,
-    PolicyState,
-    compute_cost,
-    extract_block_features,
-    forward,
-    information_gain,
-    reinforce_update,
-    reward,
-    sample_actions,
-    target_cost,
-)
-from .scene import (
-    Arena,
-    GtView,
-    Pedestrian,
-    SceneConfig,
-    SceneFrame,
-    ground_truth_view,
-    init_scene,
-    load_trajectories,
-    step_scene,
-)
-from .tracker import GroundTracker, Track, TrackerConfig
 from .runtime.config import RunConfig, load_config, save_config
 from .runtime.simulation import run_sim
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arena",
-    "BBox",
-    "BlockActions",
-    "BlockGrid",
-    "CameraModel",
-    "Cluster",
-    "Detection",
-    "DetectionSet",
-    "DetectorConfig",
-    "FusedDetection",
-    "GroundPoint",
-    "GroundTracker",
-    "GtView",
-    "ImagePoint",
-    "MetricAccumulator",
-    "Pedestrian",
-    "PolicyAgent",
-    "PolicyConfig",
-    "PolicyParams",
-    "PolicyState",
-    "RunConfig",
-    "SceneConfig",
-    "SceneFrame",
-    "TopKSelection",
-    "Track",
-    "TrackerConfig",
-    "ViewState",
-    "assign_cameras",
-    "blocks_for_bbox",
-    "camera_from_pose",
-    "cluster_detections",
-    "compute_cost",
-    "extract_block_features",
-    "forward",
-    "fuse_ground_plane",
-    "ground_truth_view",
-    "information_gain",
-    "init_scene",
-    "load_config",
-    "load_trajectories",
-    "match_bipartite",
-    "oracle_select",
-    "project_ground_to_image",
-    "project_image_to_ground",
-    "reinforce_update",
-    "reward",
-    "run_sim",
-    "sample_actions",
-    "save_config",
-    "simulate_view_detections",
-    "step_scene",
-    "target_cost",
-]
+__all__ = ["RunConfig", "load_config", "run_sim", "save_config"]

@@ -214,16 +214,11 @@ def fuse_ground_plane(clusters: list["Cluster"]) -> list[FusedDetection]:
     The fused point is the arithmetic mean of member ground points; the
     score is the best member score.
     """
-    fused = []
-    for cluster in clusters:
-        members = cluster.members
-        gx = sum(d.ground.x for d in members) / len(members)
-        gy = sum(d.ground.y for d in members) / len(members)
-        fused.append(
-            FusedDetection(
-                GroundPoint(gx, gy),
-                max(d.score for d in members),
-                tuple(sorted(d.camera_id for d in members)),
-            )
+    return [
+        FusedDetection(
+            cluster.center,
+            max(d.score for d in cluster.members),
+            tuple(sorted(d.camera_id for d in cluster.members)),
         )
-    return fused
+        for cluster in clusters
+    ]

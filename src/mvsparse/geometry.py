@@ -95,6 +95,15 @@ class BBox:
         """Bottom-center pixel, the point assumed to touch the ground."""
         return ImagePoint(self.x + self.w / 2.0, self.y + self.h)
 
+    def pixel_bounds(self, width: int, height: int) -> tuple[int, int, int, int]:
+        """Integer pixel span (x0, y0, x1, y1) covering the box, clipped to
+        [0, width) x [0, height); empty when x1 <= x0 or y1 <= y0."""
+        x0 = max(0, math.floor(self.x))
+        y0 = max(0, math.floor(self.y))
+        x1 = min(width, math.ceil(self.x + self.w))
+        y1 = min(height, math.ceil(self.y + self.h))
+        return x0, y0, x1, y1
+
     def intersection_area(self, other: "BBox") -> float:
         ix = min(self.x + self.w, other.x + other.w) - max(self.x, other.x)
         iy = min(self.y + self.h, other.y + other.h) - max(self.y, other.y)

@@ -96,10 +96,7 @@ def _boxes_mask(shape: tuple[int, int], boxes) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     h, w = shape
     for box in boxes:
-        x0 = max(0, int(np.floor(box.x)))
-        y0 = max(0, int(np.floor(box.y)))
-        x1 = min(w, int(np.ceil(box.x + box.w)))
-        y1 = min(h, int(np.ceil(box.y + box.h)))
+        x0, y0, x1, y1 = box.pixel_bounds(w, h)
         if x1 > x0 and y1 > y0:
             mask[y0:y1, x0:x1] = True
     return mask
@@ -218,10 +215,8 @@ def information_gain(
         x0, y0, x1, y1 = (int(v) for v in grid.block_extent(int(r), int(c)))
         scratch = moving_in_dets[y0:y1, x0:x1].copy()
         for d in novel_dets(int(state.last_refresh[r, c])):
-            bx0 = max(x0, int(np.floor(d.bbox.x)))
-            by0 = max(y0, int(np.floor(d.bbox.y)))
-            bx1 = min(x1, int(np.ceil(d.bbox.x + d.bbox.w)))
-            by1 = min(y1, int(np.ceil(d.bbox.y + d.bbox.h)))
+            bx0, by0, bx1, by1 = d.bbox.pixel_bounds(x1, y1)
+            bx0, by0 = max(x0, bx0), max(y0, by0)
             if bx1 > bx0 and by1 > by0:
                 scratch[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = True
         out[r, c] = scratch.sum() / counts[r, c]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -155,101 +155,56 @@ def load_calibration(path: str) -> CameraModel:
     return camera_from_dict(doc)
 
 
-def _sub_config(cls, doc: dict, where: str):
-    known = set(cls.__dataclass_fields__)
-    extra = set(doc) - known
-    if extra:
-        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+# Fields holding a nested dataclass section, per config class.
+_SECTIONS = {
+    RunConfig: {
+        "scene": SceneConfig,
+        "detector": DetectorConfig,
+        "policy": PolicyConfig,
+        "tracker": TrackerConfig,
+        "network": NetworkConfig,
+    },
+    SceneConfig: {"arena": Arena},
+}
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    doc = {
-        "mode": cfg.mode,
-        "frames": cfg.frames,
-        "seed": cfg.seed,
-        "dt": cfg.dt,
-        "block_size": cfg.block_size,
-        "k_views": cfg.k_views,
-        "cluster_eps": cfg.cluster_eps,
-        "match_radius": cfg.match_radius,
-        "compression_factor": cfg.compression_factor,
-        "blockcopy_tau": cfg.blockcopy_tau,
-        "static_mask_profile_frames": cfg.static_mask_profile_frames,
-        "trajectories": cfg.trajectories,
-        "scene": {**asdict(cfg.scene), "arena": asdict(cfg.scene.arena)},
-        "detector": asdict(cfg.detector),
-        "policy": asdict(cfg.policy),
-        "tracker": asdict(cfg.tracker),
-        "network": asdict(cfg.network),
-        "cameras": [camera_to_dict(c) for c in cfg.cameras],
-    }
+    """The config as a YAML-ready document with the keys in field order:
+    nested sections as mappings, cameras as calibration documents."""
+    doc = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
+    for name in _SECTIONS[RunConfig]:
+        doc[name] = asdict(doc[name])
+    doc["cameras"] = [camera_to_dict(c) for c in cfg.cameras]
     return doc
 
 
-def config_from_dict(doc: dict) -> RunConfig:
-    doc = dict(doc or {})
-    known = {
-        "mode",
-        "frames",
-        "seed",
-        "dt",
-        "block_size",
-        "k_views",
-        "cluster_eps",
-        "match_radius",
-        "compression_factor",
-        "blockcopy_tau",
-        "static_mask_profile_frames",
-        "trajectories",
-        "scene",
-        "detector",
-        "policy",
-        "tracker",
-        "network",
-        "cameras",
-    }
-    extra = set(doc) - known
+def _from_doc(cls, doc, where: str):
+    """Build config class ``cls`` from its document, recursing into the
+    sections in ``_SECTIONS``; ``where`` is the section path, "" at the top.
+    Omitted keys keep their defaults; every bad document is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'config'} must be a mapping, got {type(doc).__name__}")
+    extra = set(doc) - {f.name for f in fields(cls)}
     if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}")
-    kwargs: dict = {}
-    for key in (
-        "mode",
-        "frames",
-        "seed",
-        "dt",
-        "block_size",
-        "k_views",
-        "cluster_eps",
-        "match_radius",
-        "compression_factor",
-        "blockcopy_tau",
-        "static_mask_profile_frames",
-        "trajectories",
-    ):
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "scene" in doc:
-        scene_doc = dict(doc["scene"])
-        arena = Arena(**scene_doc.pop("arena", {}))
-        kwargs["scene"] = _sub_config(SceneConfig, {**scene_doc, "arena": arena}, "scene")
-    if "detector" in doc:
-        kwargs["detector"] = _sub_config(DetectorConfig, doc["detector"], "detector")
-    if "policy" in doc:
-        kwargs["policy"] = _sub_config(PolicyConfig, doc["policy"], "policy")
-    if "tracker" in doc:
-        kwargs["tracker"] = _sub_config(TrackerConfig, doc["tracker"], "tracker")
-    if "network" in doc:
-        kwargs["network"] = _sub_config(NetworkConfig, doc["network"], "network")
-    if "cameras" in doc:
-        kwargs["cameras"] = tuple(camera_from_dict(d) for d in doc["cameras"])
+        raise ConfigError(f"unknown {where or 'config'} keys {sorted(extra)}")
+    kwargs = dict(doc)
+    for name, section in _SECTIONS.get(cls, {}).items():
+        if name in kwargs:
+            kwargs[name] = _from_doc(section, kwargs[name], f"{where}.{name}" if where else name)
+    if cls is RunConfig and "cameras" in kwargs:
+        if not isinstance(kwargs["cameras"], list):
+            raise ConfigError("cameras must be a list of camera documents")
+        kwargs["cameras"] = tuple(camera_from_dict(d) for d in kwargs["cameras"])
     try:
-        return RunConfig(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
+def config_from_dict(doc: dict) -> RunConfig:
+    """Inverse of ``config_to_dict``. Any subset of keys may be given; an
+    empty or None document is the default config."""
+    return _from_doc(RunConfig, doc if doc is not None else {}, "")
 
 
 def load_config(path: str) -> RunConfig:

@@ -68,28 +68,31 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
         ready.set()
 
     conns: dict[int, socket.socket] = {}
+    accepted: list[socket.socket] = []  # closed on every exit, rejected ones too
     try:
         while len(conns) < n_cameras:
             try:
                 sock, _ = listener.accept()
             except socket.timeout as exc:
                 raise FrameTimeout("timed out waiting for cameras to connect") from exc
+            accepted.append(sock)
             sock.settimeout(cfg.network.frame_timeout_s)
             hello = read_message(sock)
             if not isinstance(hello, Hello):
                 raise ConnectionLost(f"expected Hello, got {type(hello).__name__}")
             if hello.camera_id not in cfg.camera_ids:
                 raise ConnectionLost(f"unknown camera {hello.camera_id}")
+            if hello.camera_id in conns:
+                raise ConnectionLost(f"duplicate camera {hello.camera_id}")
             conns[hello.camera_id] = sock
             logger.info("camera %d connected", hello.camera_id)
 
         for t in range(cfg.frames):
             scene = source.frame(t)
-            gt_ground = [(p.person_id, p.position) for p in scene.pedestrians]
             updates: dict[int, BlockUpdate] = {}
             for cam_id in cfg.camera_ids:
                 updates[cam_id] = _read_update(conns[cam_id], cam_id, t, cfg)
-            feedbacks = engine.process(t, updates, gt_ground)
+            feedbacks = engine.process(t, updates, scene.ground_points())
             for cam_id in cfg.camera_ids:
                 send_message(conns[cam_id], feedbacks[cam_id])
 
@@ -106,7 +109,7 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
         err.partial_report = engine.report()
         raise err from exc
     finally:
-        for sock in conns.values():
+        for sock in accepted:
             sock.close()
         listener.close()
 
@@ -153,7 +156,11 @@ def run_camera_node(
             update = runtime.begin_frame(scene, t)
             send_message(sock, update)
             feedback = read_message(sock)
-            if not isinstance(feedback, ServerFeedback) or feedback.frame_id != t:
+            if (
+                not isinstance(feedback, ServerFeedback)
+                or feedback.frame_id != t
+                or feedback.camera_id != camera_id
+            ):
                 raise ConnectionLost(f"camera {camera_id}: bad feedback at frame {t}")
             runtime.end_frame(t, feedback)
         send_message(sock, EndOfSequence(camera_id))

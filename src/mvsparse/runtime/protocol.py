@@ -26,6 +26,7 @@ TYPE_SERVER_FEEDBACK = 3
 TYPE_END_OF_SEQUENCE = 4
 
 _HEADER = struct.Struct("<4sBBI")
+_CAMERA_ID = struct.Struct("<H")  # the whole payload of hello and end-of-sequence
 _UPDATE_HEAD = struct.Struct("<IHBBH")  # frame, camera, rows, cols, detections
 _FEEDBACK_HEAD = struct.Struct("<IHBBdHH")  # frame, camera, rows, cols, tau, boxes, points
 _DET = struct.Struct("<6ddB")  # bbox x,y,w,h + ground x,y + score + stale flag
@@ -134,14 +135,6 @@ def _pack_bitmap(grid_array: np.ndarray) -> bytes:
     return np.packbits(flat, bitorder="little").tobytes()
 
 
-def _unpack_bitmap(data: bytes, rows: int, cols: int) -> np.ndarray:
-    n = rows * cols
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    if bits.size < n:
-        raise TruncatedFrame("bitmap shorter than grid")
-    return bits[:n].reshape(rows, cols).astype(np.uint8)
-
-
 def _bitmap_nbytes(rows: int, cols: int) -> int:
     return (rows * cols + 7) // 8
 
@@ -151,8 +144,8 @@ def _bitmap_nbytes(rows: int, cols: int) -> int:
 _MAX_COUNT = 0xFFFF
 _MAX_BITMAP = _bitmap_nbytes(0xFF, 0xFF)
 MAX_PAYLOAD = {
-    TYPE_HELLO: 2,
-    TYPE_END_OF_SEQUENCE: 2,
+    TYPE_HELLO: _CAMERA_ID.size,
+    TYPE_END_OF_SEQUENCE: _CAMERA_ID.size,
     TYPE_BLOCK_UPDATE: _UPDATE_HEAD.size + _MAX_BITMAP + _MAX_COUNT * _DET.size,
     TYPE_SERVER_FEEDBACK: (
         _FEEDBACK_HEAD.size + _MAX_BITMAP + _MAX_COUNT * (_BOX.size + _POINT.size)
@@ -176,13 +169,14 @@ def _encode_detections(dets: tuple[Detection, ...]) -> bytes:
     return bytes(out)
 
 
-def _decode_detections(data: bytes, count: int, camera_id: int) -> tuple[Detection, ...]:
-    need = count * _DET.size
-    if len(data) < need:
-        raise TruncatedFrame("detection records shorter than count")
+def _decode_detections(
+    data: bytes, off: int, count: int, camera_id: int
+) -> tuple[Detection, ...]:
     dets = []
     for i in range(count):
-        x, y, w, h, gx, gy, score, stale = _DET.unpack_from(data, i * _DET.size)
+        x, y, w, h, gx, gy, score, stale = _DET.unpack_from(data, off + i * _DET.size)
+        if stale > 1:
+            raise MalformedPayload(f"detection {i}: stale flag {stale}")
         try:
             box = BBox(x, y, w, h)
         except ValueError as exc:
@@ -192,10 +186,9 @@ def _decode_detections(data: bytes, count: int, camera_id: int) -> tuple[Detecti
 
 
 def encode_message(msg: Message) -> bytes:
-    if isinstance(msg, Hello):
-        mtype, payload = TYPE_HELLO, struct.pack("<H", msg.camera_id)
-    elif isinstance(msg, EndOfSequence):
-        mtype, payload = TYPE_END_OF_SEQUENCE, struct.pack("<H", msg.camera_id)
+    if isinstance(msg, (Hello, EndOfSequence)):
+        mtype = TYPE_HELLO if isinstance(msg, Hello) else TYPE_END_OF_SEQUENCE
+        payload = _CAMERA_ID.pack(msg.camera_id)
     elif isinstance(msg, BlockUpdate):
         rows, cols = msg.actions.shape
         payload = _UPDATE_HEAD.pack(msg.frame_id, msg.camera_id, rows, cols, len(msg.detections))
@@ -224,35 +217,47 @@ def encode_message(msg: Message) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, mtype, len(payload)) + payload
 
 
-def _decode_block_update(payload: bytes) -> BlockUpdate:
-    if len(payload) < _UPDATE_HEAD.size:
-        raise TruncatedFrame("update payload shorter than its fixed header")
-    frame_id, camera_id, rows, cols, n_dets = _UPDATE_HEAD.unpack_from(payload)
+def _decode_grid_payload(payload: bytes, head: struct.Struct, record_sizes: tuple[int, ...]):
+    """Shared layout of updates and feedback: a fixed head whose fields 2 and
+    3 are the grid rows and cols and whose last fields count the records of
+    each size in ``record_sizes``, then the block bitmap, then the records.
+
+    Returns (head fields, bitmap, offset of the first record). Only the
+    canonical encoding decodes: the bitmap's padding bits must be zero and
+    the payload must end at the last record.
+    """
+    if len(payload) < head.size:
+        raise TruncatedFrame("payload shorter than its fixed header")
+    fields = head.unpack_from(payload)
+    rows, cols = fields[2], fields[3]
     if rows == 0 or cols == 0:
         raise MalformedPayload("empty block grid")
-    off = _UPDATE_HEAD.size
-    nb = _bitmap_nbytes(rows, cols)
-    if len(payload) < off + nb:
+    off = head.size + _bitmap_nbytes(rows, cols)
+    if len(payload) < off:
         raise TruncatedFrame("bitmap truncated")
-    actions = _unpack_bitmap(payload[off : off + nb], rows, cols)
-    dets = _decode_detections(payload[off + nb :], n_dets, camera_id)
+    bitmap = np.frombuffer(payload, np.uint8, off - head.size, head.size)
+    bits = np.unpackbits(bitmap, bitorder="little")
+    if bits[rows * cols :].any():
+        raise MalformedPayload("nonzero bitmap padding bits")
+    counts = fields[len(fields) - len(record_sizes) :]
+    end = off + sum(count * size for count, size in zip(counts, record_sizes))
+    if len(payload) < end:
+        raise TruncatedFrame("records shorter than their counts")
+    if len(payload) > end:
+        raise MalformedPayload(f"{len(payload) - end} bytes after the last record")
+    return fields, bits[: rows * cols].reshape(rows, cols), off
+
+
+def _decode_block_update(payload: bytes) -> BlockUpdate:
+    fields, actions, off = _decode_grid_payload(payload, _UPDATE_HEAD, (_DET.size,))
+    frame_id, camera_id, _, _, n_dets = fields
+    dets = _decode_detections(payload, off, n_dets, camera_id)
     return BlockUpdate(frame_id, camera_id, actions, dets)
 
 
 def _decode_server_feedback(payload: bytes) -> ServerFeedback:
-    if len(payload) < _FEEDBACK_HEAD.size:
-        raise TruncatedFrame("feedback payload shorter than its fixed header")
-    frame_id, camera_id, rows, cols, tau, n_topk, n_fused = _FEEDBACK_HEAD.unpack_from(payload)
-    if rows == 0 or cols == 0:
-        raise MalformedPayload("empty block grid")
-    off = _FEEDBACK_HEAD.size
-    nb = _bitmap_nbytes(rows, cols)
-    if len(payload) < off + nb:
-        raise TruncatedFrame("bitmap truncated")
-    mask = _unpack_bitmap(payload[off : off + nb], rows, cols)
-    off += nb
-    if len(payload) < off + _BOX.size * n_topk + _POINT.size * n_fused:
-        raise TruncatedFrame("feedback boxes truncated")
+    fields, mask, off = _decode_grid_payload(payload, _FEEDBACK_HEAD, (_BOX.size, _POINT.size))
+    frame_id, camera_id, _, _, tau, n_topk, n_fused = fields
     boxes = []
     for i in range(n_topk):
         x, y, w, h = _BOX.unpack_from(payload, off + _BOX.size * i)
@@ -286,21 +291,19 @@ def _parse_header(data: bytes) -> tuple[int, int]:
 
 def decode_message(data: bytes) -> tuple[Message, int]:
     """Decode one frame from the head of ``data``; returns (message, bytes
-    consumed). Every malformed prefix raises a ProtocolError subclass."""
+    consumed). Every malformed prefix raises a ProtocolError subclass, and
+    only canonical frames decode: re-encoding the message gives back exactly
+    the consumed bytes."""
     mtype, length = _parse_header(data)
     if len(data) < _HEADER.size + length:
         raise TruncatedFrame(f"payload length {length} exceeds buffer")
     payload = data[_HEADER.size : _HEADER.size + length]
     try:
-        if mtype == TYPE_HELLO:
-            (camera_id,) = struct.unpack("<H", payload[:2]) if len(payload) >= 2 else (None,)
-            if camera_id is None:
-                raise TruncatedFrame("hello payload too short")
-            msg: Message = Hello(camera_id)
-        elif mtype == TYPE_END_OF_SEQUENCE:
-            if len(payload) < 2:
-                raise TruncatedFrame("end-of-sequence payload too short")
-            msg = EndOfSequence(struct.unpack("<H", payload[:2])[0])
+        if mtype in (TYPE_HELLO, TYPE_END_OF_SEQUENCE):
+            if len(payload) < _CAMERA_ID.size:
+                raise TruncatedFrame("camera-id payload too short")
+            (camera_id,) = _CAMERA_ID.unpack_from(payload)
+            msg: Message = (Hello if mtype == TYPE_HELLO else EndOfSequence)(camera_id)
         elif mtype == TYPE_BLOCK_UPDATE:
             msg = _decode_block_update(payload)
         else:

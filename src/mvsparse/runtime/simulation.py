@@ -247,24 +247,16 @@ def profile_static_masks(cfg: RunConfig) -> dict[int, np.ndarray]:
     """Offline profiling for static_mask mode: run the first frames fully
     processed and freeze the union of each view's assignment masks."""
     source = SceneSource(cfg)
-    grid = cfg.grid
-    cam_ids = cfg.camera_ids
-    states = {cam.camera_id: ViewState.initial(cam, grid, cfg.seed) for cam in cfg.cameras}
-    union = {cam: np.zeros(grid.shape, dtype=np.uint8) for cam in cam_ids}
-    ones = np.ones(grid.shape, dtype=np.uint8)
-    n = min(cfg.static_mask_profile_frames, cfg.frames)
-    for t in range(n):
+    runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
+    union = {cam: np.zeros(cfg.grid.shape, dtype=np.uint8) for cam in cfg.camera_ids}
+    ones = np.ones(cfg.grid.shape, dtype=np.uint8)
+    for t in range(min(cfg.static_mask_profile_frames, cfg.frames)):
         scene = source.frame(t)
-        det_sets = []
-        for cam in cfg.cameras:
-            gt = ground_truth_view(scene, cam)
-            dets, states[cam.camera_id] = simulate_view_detections(
-                states[cam.camera_id], ones, gt, t, cfg.detector
-            )
-            det_sets.append(dets)
+        updates = [rt.begin_frame(scene, t, actions_override=ones) for rt in runtimes]
+        det_sets = [DetectionSet(u.camera_id, t, u.detections) for u in updates]
         clusters = cluster_detections(det_sets, cfg.cluster_eps)
-        topk = assign_cameras(clusters, cfg.k_views, grid, cam_ids)
-        for cam in cam_ids:
+        topk = assign_cameras(clusters, cfg.k_views, cfg.grid, cfg.camera_ids)
+        for cam in cfg.camera_ids:
             union[cam] |= topk.masks[cam]
     return union
 
@@ -287,7 +279,7 @@ def run_sim(cfg: RunConfig) -> dict:
 
     for t in range(cfg.frames):
         scene = source.frame(t)
-        gt_ground = [(p.person_id, p.position) for p in scene.pedestrians]
+        gt_ground = scene.ground_points()
 
         oracle_masks = None
         if cfg.mode == "oracle":

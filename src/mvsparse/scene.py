@@ -180,12 +180,14 @@ def project_pedestrian_box(cam: CameraModel, ped: Pedestrian) -> tuple[BBox, flo
     return BBox(x0, y0, width_px, foot.v - y0), depth
 
 
-def _pixel_bounds(box: BBox, width: int, height: int) -> tuple[int, int, int, int]:
-    x0 = max(0, int(math.floor(box.x)))
-    y0 = max(0, int(math.floor(box.y)))
-    x1 = min(width, int(math.ceil(box.x + box.w)))
-    y1 = min(height, int(math.ceil(box.y + box.h)))
-    return x0, y0, x1, y1
+def _project_all(scene: SceneFrame, cam: CameraModel) -> list[tuple[int, BBox, float]]:
+    """(person_id, box, depth) of every walker the camera sees, in scene order."""
+    projected = []
+    for ped in scene.pedestrians:
+        proj = project_pedestrian_box(cam, ped)
+        if proj is not None:
+            projected.append((ped.person_id, proj[0], proj[1]))
+    return projected
 
 
 def ground_truth_view(scene: SceneFrame, cam: CameraModel) -> GtView:
@@ -194,11 +196,7 @@ def ground_truth_view(scene: SceneFrame, cam: CameraModel) -> GtView:
     Visibility is the fraction of a walker's box not covered by boxes of
     walkers strictly closer to the camera (rasterized at pixel resolution).
     """
-    projected = []
-    for ped in scene.pedestrians:
-        proj = project_pedestrian_box(cam, ped)
-        if proj is not None:
-            projected.append((ped.person_id, proj[0], proj[1]))
+    projected = _project_all(scene, cam)
     if not projected:
         return GtView(cam.camera_id, ())
 
@@ -213,12 +211,12 @@ def ground_truth_view(scene: SceneFrame, cam: CameraModel) -> GtView:
             j += 1
         group = by_depth[i:j]
         for pid, box, _ in group:
-            x0, y0, x1, y1 = _pixel_bounds(box, cam.width, cam.height)
+            x0, y0, x1, y1 = box.pixel_bounds(cam.width, cam.height)
             region = canvas[y0:y1, x0:x1]
             covered = float(region.mean()) if region.size else 1.0
             visibility[pid] = 1.0 - covered
         for pid, box, _ in group:
-            x0, y0, x1, y1 = _pixel_bounds(box, cam.width, cam.height)
+            x0, y0, x1, y1 = box.pixel_bounds(cam.width, cam.height)
             canvas[y0:y1, x0:x1] = True
         i = j
 
@@ -230,13 +228,8 @@ def render_view_image(scene: SceneFrame, cam: CameraModel) -> np.ndarray:
     """Schematic grayscale frame: flat background, one filled rectangle per
     visible walker (nearest drawn last). Feeds the policy state, not a renderer."""
     img = np.full((cam.height, cam.width), 24, dtype=np.uint8)
-    projected = []
-    for ped in scene.pedestrians:
-        proj = project_pedestrian_box(cam, ped)
-        if proj is not None:
-            projected.append((ped.person_id, proj[0], proj[1]))
-    for pid, box, _ in sorted(projected, key=lambda e: -e[2]):
-        x0, y0, x1, y1 = _pixel_bounds(box, cam.width, cam.height)
+    for pid, box, _ in sorted(_project_all(scene, cam), key=lambda e: -e[2]):
+        x0, y0, x1, y1 = box.pixel_bounds(cam.width, cam.height)
         img[y0:y1, x0:x1] = 80 + (pid * 37) % 160
     return img
 

@@ -73,5 +73,12 @@ def test_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
 
 
+def test_malformed_config_section_exits_with_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("scene:\n  arena:\n    bogus: 1\n")
+    assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_report_args(capsys):
     assert main(["report"]) == EXIT_CONFIG

@@ -1,6 +1,7 @@
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from mvsparse.runtime.config import ConfigError, NetworkConfig, RunConfig, default_cameras
@@ -9,7 +10,7 @@ from mvsparse.runtime.distributed import (
     run_camera_node,
     run_server,
 )
-from mvsparse.runtime.protocol import Hello, send_message
+from mvsparse.runtime.protocol import Hello, ServerFeedback, read_message, send_message
 from mvsparse.runtime.report import dumps_report
 from mvsparse.runtime.simulation import run_sim
 
@@ -131,6 +132,53 @@ class TestFailurePaths:
         report = box["report"]
         assert report["completed_frames"] == 3
         assert set(report["series"]["blocks"]) == {0}
+
+    def test_duplicate_hello_aborts_and_closes_the_second_socket(self):
+        cfg = two_camera_cfg(frames=3, timeout=5.0)
+        port = free_port()
+        ready = threading.Event()
+        box = {}
+
+        def serve():
+            try:
+                run_server(cfg, port=port, ready=ready)
+                box["error"] = None
+            except ConnectionLost as exc:
+                box["error"] = exc
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        assert ready.wait(10.0)
+        first = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        send_message(first, Hello(0))
+        second = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        send_message(second, Hello(0))
+        thread.join(30.0)
+        assert "duplicate camera 0" in str(box["error"])
+        assert second.recv(1) == b""  # closed by the server, not kept open
+        first.close()
+        second.close()
+
+    def test_feedback_for_another_camera_rejected(self):
+        cfg = two_camera_cfg(frames=3, timeout=5.0)
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def fake_server():
+            conn, _ = listener.accept()
+            with conn:
+                read_message(conn)  # hello
+                update = read_message(conn)
+                mask = np.zeros(cfg.grid.shape, dtype=np.uint8)
+                send_message(conn, ServerFeedback(update.frame_id, 1, 0.5, (), mask, ()))
+                conn.recv(1)  # hold the connection until the camera hangs up
+
+        thread = threading.Thread(target=fake_server, daemon=True)
+        thread.start()
+        with pytest.raises(ConnectionLost, match="bad feedback at frame 0"):
+            run_camera_node(cfg, 0, server=("127.0.0.1", port))
+        thread.join(10.0)
+        listener.close()
 
     def test_oracle_mode_rejected_for_distributed(self):
         cfg = two_camera_cfg(frames=5, mode="mvsparse").with_overrides(mode="oracle")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsparse.geometry import (
     BBox,
@@ -170,3 +172,27 @@ class TestBBox:
         a = BBox(0, 0, 10, 10)
         assert a.intersection_area(BBox(5, 5, 10, 10)) == 25
         assert a.intersection_area(BBox(20, 20, 5, 5)) == 0
+
+
+def _reference_pixel_bounds(box: BBox, width: int, height: int) -> tuple[int, int, int, int]:
+    """The numpy floor/ceil form the pixel rasterizers used before."""
+    return (
+        max(0, int(np.floor(box.x))),
+        max(0, int(np.floor(box.y))),
+        min(width, int(np.ceil(box.x + box.w))),
+        min(height, int(np.ceil(box.y + box.h))),
+    )
+
+
+# negative, integer-valued and beyond-the-image corners and extents
+_corner = st.one_of(st.floats(-3000.0, 3000.0), st.integers(-3000, 3000).map(float))
+_extent = st.one_of(st.floats(1e-9, 3000.0), st.integers(1, 3000).map(float))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_corner, _corner, _extent, _extent, st.integers(1, 2000), st.integers(1, 2000))
+def test_pixel_bounds_equals_numpy_floor_ceil(x, y, w, h, width, height):
+    box = BBox(x, y, w, h)
+    bounds = box.pixel_bounds(width, height)
+    assert bounds == _reference_pixel_bounds(box, width, height)
+    assert all(type(v) is int for v in bounds)

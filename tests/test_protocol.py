@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsparse.detector import Detection
 from mvsparse.geometry import BBox, GroundPoint
@@ -13,6 +15,7 @@ from mvsparse.runtime.protocol import (
     EndOfSequence,
     FrameTooLarge,
     Hello,
+    MalformedPayload,
     ProtocolError,
     ServerFeedback,
     TruncatedFrame,
@@ -191,6 +194,87 @@ class TestReadMessage:
     def test_decode_applies_the_same_bound(self):
         with pytest.raises(FrameTooLarge):
             decode_message(_header(mtype=1, length=3) + b"\x00" * 3)
+
+
+def _with_payload(frame: bytes, payload: bytes) -> bytes:
+    """The frame's header with its length fixed up, followed by ``payload``."""
+    return frame[:6] + len(payload).to_bytes(4, "little") + payload
+
+
+class TestCanonicalFrames:
+    """Only the canonical encoding of a message decodes."""
+
+    def test_trailing_update_bytes_rejected(self):
+        data = encode_message(sample_update())
+        with pytest.raises(MalformedPayload, match="after the last record"):
+            decode_message(_with_payload(data, data[10:] + b"\x00" * 8))
+
+    def test_trailing_feedback_bytes_rejected(self):
+        data = encode_message(sample_feedback())
+        with pytest.raises(MalformedPayload, match="after the last record"):
+            decode_message(_with_payload(data, data[10:] + b"\x00"))
+
+    def test_bitmap_padding_bit_rejected(self):
+        # 5x9 grid: 45 bits in 6 bytes, so bit 7 of the sixth byte is padding
+        data = bytearray(encode_message(sample_update()))
+        data[10 + 10 + 5] |= 0x80
+        with pytest.raises(MalformedPayload, match="padding"):
+            decode_message(bytes(data))
+
+    def test_stale_flag_above_one_rejected(self):
+        data = bytearray(encode_message(sample_update(n_dets=1)))
+        data[-1] = 2  # the stale flag is the last byte of a detection record
+        with pytest.raises(MalformedPayload, match="stale flag"):
+            decode_message(bytes(data))
+
+
+VALID_FRAMES = [
+    encode_message(m)
+    for m in (
+        Hello(3),
+        EndOfSequence(2),
+        sample_update(),
+        sample_update(popcount=0, n_dets=0),
+        sample_feedback(),
+    )
+]
+
+
+def assert_canonical_or_typed_error(data: bytes) -> None:
+    """Either a ProtocolError, or a message that re-encodes to exactly the
+    bytes it was decoded from."""
+    try:
+        msg, used = decode_message(data)
+    except ProtocolError:
+        return
+    assert encode_message(msg) == data[:used]
+
+
+@st.composite
+def mutated_frames(draw):
+    data = bytearray(draw(st.sampled_from(VALID_FRAMES)))
+    for _ in range(draw(st.integers(0, 6))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):  # keep the declared length consistent
+        return _with_payload(bytes(data), bytes(data[10:]) + draw(st.binary(max_size=9)))
+    return bytes(data[: draw(st.integers(0, len(data)))]) + draw(st.binary(max_size=16))
+
+
+class TestDecodeProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        assert_canonical_or_typed_error(data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 4), st.binary(max_size=120))
+    def test_valid_header_arbitrary_payload(self, mtype, payload):
+        assert_canonical_or_typed_error(_header(mtype=mtype, length=len(payload)) + payload)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mutated_frames())
+    def test_mutated_valid_frames(self, data):
+        assert_canonical_or_typed_error(data)
 
 
 class TestAccountTraffic:

@@ -56,6 +56,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="detector"):
             config_from_dict({"detector": {"sigma_px": 1.0, "bogus": 2}})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scene": {"arena": {"bogus": 1}}},
+            {"scene": None},
+            {"detector": None},
+            {"cameras": 5},
+        ],
+        ids=["nested-unknown-key", "null-scene", "null-section", "cameras-not-a-list"],
+    )
+    def test_malformed_documents_are_config_errors(self, doc):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_default_config_digest_is_pinned(self):
+        # every report carries this digest; a schema refactor must not move it
+        assert (
+            config_digest(RunConfig())
+            == "1badb5ce4f8759b0f7580f63bfdf849fc5d0c0d49d30df1d2513e15b22f34568"
+        )
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(mode="warp")
