@@ -6,6 +6,12 @@ Bernoulli draws per block; the reward combines a masked information-gain
 term with a view-level computation cost, and weights are updated online by
 plain score-function policy gradient every ``train_interval`` frames.
 
+The camera's schematic frame is a list of painted pixel spans
+(``scene.ViewPaint``), and every box is an integer pixel span, so the
+motion, coverage and information-gain fractions are exact per-block pixel
+counts over the cells those spans cut, divided by the block areas; no
+raster is drawn.
+
 One agent per camera, single-owner mutable state. Server feedback arrives
 as immutable values; agents never share anything.
 """
@@ -13,13 +19,15 @@ as immutable values; agents never share anything.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .detector import DetectionSet, DimensionMismatch
 from .geometry import BBox, BlockGrid, GroundPoint
+from .scene import BACKGROUND, ViewPaint
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +76,8 @@ class PolicyState:
     """Inputs the per-block features are computed from (one camera, one frame)."""
 
     frame_id: int
-    frame: np.ndarray  # (H, W) grayscale
-    motion_map: np.ndarray  # (H, W) |I_t - I_{t-1}|
+    frame: ViewPaint
+    prev_frame: ViewPaint | None  # None on a camera's first frame
     topk_boxes: tuple[BBox, ...]  # previous-frame assigned detections
     mask: np.ndarray  # previous-frame block assignment mask (rows, cols)
     prev_detection_boxes: tuple[BBox, ...]
@@ -92,27 +100,72 @@ class WindowSample:
     rewards: np.ndarray  # (n_blocks,)
 
 
-def _boxes_mask(shape: tuple[int, int], boxes) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    h, w = shape
-    for box in boxes:
-        x0, y0, x1, y1 = box.pixel_bounds(w, h)
-        if x1 > x0 and y1 > y0:
-            mask[y0:y1, x0:x1] = True
-    return mask
+class _Cells:
+    """The image cut along every block edge and every given span edge.
+
+    Each cell lies inside one block and wholly inside or wholly outside each
+    span, so painting spans onto cells and summing the integer cell areas
+    per block gives every block's exact pixel count, with no raster. Spans
+    are (x0, y0, x1, y1) pixel bounds, inside the image unless empty. An
+    empty span (x1 <= x0 or y1 <= y0) adds no edge, and its cell range,
+    found by the monotone ``bisect_left``, is empty too.
+    """
+
+    def __init__(self, grid: BlockGrid, spans: list[tuple[int, int, int, int]]):
+        w, h = grid.image_size
+        B = grid.block_size
+        xs, ys = {*range(0, w, B), w}, {*range(0, h, B), h}
+        for x0, y0, x1, y1 in spans:
+            if x1 > x0 and y1 > y0:
+                xs.update((x0, x1))
+                ys.update((y0, y1))
+        self.xs, self.ys = sorted(xs), sorted(ys)
+        self.area = np.outer(np.diff(self.ys), np.diff(self.xs))
+        self._row_starts = [bisect_left(self.ys, y) for y in range(0, h, B)]
+        self._col_starts = [bisect_left(self.xs, x) for x in range(0, w, B)]
+
+    def _index(self, span: tuple[int, int, int, int]) -> tuple[slice, slice]:
+        """Index of the cells inside the span."""
+        x0, y0, x1, y1 = span
+        return (
+            slice(bisect_left(self.ys, y0), bisect_left(self.ys, y1)),
+            slice(bisect_left(self.xs, x0), bisect_left(self.xs, x1)),
+        )
+
+    def covered(self, spans) -> np.ndarray:
+        """Cells inside any of the spans."""
+        out = np.zeros(self.area.shape, dtype=bool)
+        for span in spans:
+            out[self._index(span)] = True
+        return out
+
+    def painted(self, paint: ViewPaint) -> np.ndarray:
+        """Intensity of every cell in the painted frame."""
+        out = np.full(self.area.shape, BACKGROUND, dtype=np.int64)
+        for v, *span in paint.rects:
+            out[self._index(span)] = v
+        return out
+
+    def moving(self, state: PolicyState, threshold: float) -> np.ndarray:
+        """Cells whose intensity changed by more than the threshold since
+        the previous frame (none on the first frame)."""
+        cur = self.painted(state.frame)
+        prev = cur if state.prev_frame is None else self.painted(state.prev_frame)
+        return np.abs(cur - prev) > threshold
+
+    def block_counts(self, cells: np.ndarray) -> np.ndarray:
+        """(rows, cols) pixel count of the selected cells in each block."""
+        per_row = np.add.reduceat(np.where(cells, self.area, 0), self._row_starts, axis=0)
+        return np.add.reduceat(per_row, self._col_starts, axis=1)
 
 
-def block_fractions(grid: BlockGrid, pixel_mask: np.ndarray) -> np.ndarray:
-    """Per-block fraction of set pixels, normalized by actual block area."""
-    B = grid.block_size
-    h, w = pixel_mask.shape
-    H, W = grid.rows * B, grid.cols * B
-    if (h, w) != (H, W):
-        padded = np.zeros((H, W), dtype=pixel_mask.dtype)
-        padded[:h, :w] = pixel_mask
-        pixel_mask = padded
-    sums = pixel_mask.reshape(grid.rows, B, grid.cols, B).sum(axis=(1, 3), dtype=np.int64)
-    return sums / grid.block_pixel_counts()
+def _frame_spans(state: PolicyState) -> list[tuple[int, int, int, int]]:
+    frames = (state.frame,) if state.prev_frame is None else (state.frame, state.prev_frame)
+    return [r[1:] for f in frames for r in f.rects]
+
+
+def _box_spans(boxes, grid: BlockGrid) -> list[tuple[int, int, int, int]]:
+    return [box.pixel_bounds(*grid.image_size) for box in boxes]
 
 
 def extract_block_features(
@@ -124,15 +177,19 @@ def extract_block_features(
     coverage, assigned-box coverage, previous action, normalized staleness,
     constant bias.
     """
-    h, w = state.frame.shape
-    if (w, h) != grid.image_size:
-        raise DimensionMismatch(f"frame {state.frame.shape} vs grid image {grid.image_size}")
+    sizes = [(f.width, f.height) for f in (state.frame, state.prev_frame) if f is not None]
+    if any(size != grid.image_size for size in sizes):
+        raise DimensionMismatch(f"frame {sizes} vs grid image {grid.image_size}")
     if state.prev_actions.shape != grid.shape or state.mask.shape != grid.shape:
         raise DimensionMismatch("action/mask grids do not match the block grid")
 
-    motion = block_fractions(grid, state.motion_map > cfg.motion_threshold)
-    det_cov = block_fractions(grid, _boxes_mask((h, w), state.prev_detection_boxes))
-    topk_cov = block_fractions(grid, _boxes_mask((h, w), state.topk_boxes))
+    det_spans = _box_spans(state.prev_detection_boxes, grid)
+    topk_spans = _box_spans(state.topk_boxes, grid)
+    cells = _Cells(grid, _frame_spans(state) + det_spans + topk_spans)
+    counts = grid.block_pixel_counts()
+    motion = cells.block_counts(cells.moving(state, cfg.motion_threshold)) / counts
+    det_cov = cells.block_counts(cells.covered(det_spans)) / counts
+    topk_cov = cells.block_counts(cells.covered(topk_spans)) / counts
     staleness = np.clip(
         (state.frame_id - state.last_refresh) / max(1, cfg.full_refresh_interval), 0.0, 1.0
     )
@@ -187,39 +244,27 @@ def information_gain(
     if gamma_mask.shape != grid.shape:
         raise DimensionMismatch("gamma mask does not match the block grid")
     out = np.zeros(grid.shape, dtype=float)
-    active = np.argwhere(gamma_mask != 0)
-    if len(active) == 0:
+    if not gamma_mask.any():
         return out
 
     dets = list(current)
-    h, w = state.frame.shape
-    moving_in_dets = (state.motion_map > cfg.motion_threshold) & _boxes_mask(
-        (h, w), [d.bbox for d in dets]
-    )
+    det_spans = _box_spans([d.bbox for d in dets], grid)
+    cells = _Cells(grid, _frame_spans(state) + det_spans)
+    moving_in_dets = cells.moving(state, cfg.motion_threshold) & cells.covered(det_spans)
 
     # novelty of each detection depends on which frame a block last saw
-    novel_by_ref: dict[int, list] = {}
-
-    def novel_dets(ref_frame: int):
-        if ref_frame not in novel_by_ref:
-            refs = state.detection_history.get(ref_frame, ())
-            novel_by_ref[ref_frame] = [
-                d
-                for d in dets
-                if all(d.ground.distance_to(g) > cfg.ig_match_eps for g in refs)
-            ]
-        return novel_by_ref[ref_frame]
-
     counts = grid.block_pixel_counts()
-    for r, c in active:
-        x0, y0, x1, y1 = (int(v) for v in grid.block_extent(int(r), int(c)))
-        scratch = moving_in_dets[y0:y1, x0:x1].copy()
-        for d in novel_dets(int(state.last_refresh[r, c])):
-            bx0, by0, bx1, by1 = d.bbox.pixel_bounds(x1, y1)
-            bx0, by0 = max(x0, bx0), max(y0, by0)
-            if bx1 > bx0 and by1 > by0:
-                scratch[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = True
-        out[r, c] = scratch.sum() / counts[r, c]
+    active = gamma_mask != 0
+    for ref in np.unique(state.last_refresh[active]).tolist():
+        refs = state.detection_history.get(ref, ())
+        novel = [
+            span
+            for span, d in zip(det_spans, dets)
+            if all(d.ground.distance_to(g) > cfg.ig_match_eps for g in refs)
+        ]
+        gain = cells.block_counts(moving_in_dets | cells.covered(novel)) / counts
+        blocks = active & (state.last_refresh == ref)
+        out[blocks] = gain[blocks]
     return out
 
 
@@ -327,22 +372,18 @@ class PolicyAgent:
         self.last_refresh = np.full(grid.shape, -1, dtype=np.int64)
         self.detection_history: dict[int, tuple[GroundPoint, ...]] = {}
         self.window: list[WindowSample] = []
-        self.prev_frame: np.ndarray | None = None
+        self.prev_frame: ViewPaint | None = None
         self.prev_actions = np.zeros(grid.shape, dtype=np.uint8)
         self.prev_detection_boxes: tuple[BBox, ...] = ()
         self.topk_boxes: tuple[BBox, ...] = ()
         self.gamma_mask = np.zeros(grid.shape, dtype=np.uint8)
         self._pending: tuple | None = None
 
-    def act(self, frame_px: np.ndarray, frame_id: int) -> BlockActions:
-        if self.prev_frame is None:
-            motion = np.zeros_like(frame_px, dtype=np.int16)
-        else:
-            motion = np.abs(frame_px.astype(np.int16) - self.prev_frame.astype(np.int16))
+    def act(self, frame: ViewPaint, frame_id: int) -> BlockActions:
         state = PolicyState(
             frame_id=frame_id,
-            frame=frame_px,
-            motion_map=motion,
+            frame=frame,
+            prev_frame=self.prev_frame,
             topk_boxes=self.topk_boxes,
             mask=self.gamma_mask,
             prev_detection_boxes=self.prev_detection_boxes,
@@ -355,7 +396,7 @@ class PolicyAgent:
         interval = self.cfg.full_refresh_interval
         forced = frame_id == 0 or (interval > 0 and frame_id % interval == 0)
         actions = sample_actions(psi, self.rng, force_full=forced)
-        self._pending = (state, features, psi, actions, forced, frame_px)
+        self._pending = (state, features, psi, actions, forced)
         return BlockActions(psi, actions)
 
     def finish_frame(
@@ -368,7 +409,7 @@ class PolicyAgent:
     ) -> FrameDiagnostics:
         if self._pending is None:
             raise RuntimeError("finish_frame called without a pending act")
-        state, features, psi, actions, forced, frame_px = self._pending
+        state, features, psi, actions, forced = self._pending
         self._pending = None
 
         r_ig = information_gain(state, own_detections, gamma_mask, self.grid, self.cfg)
@@ -401,7 +442,7 @@ class PolicyAgent:
         self.detection_history = {
             f: g for f, g in self.detection_history.items() if f in live
         }
-        self.prev_frame = frame_px
+        self.prev_frame = state.frame
         self.prev_actions = actions
         self.prev_detection_boxes = tuple(d.bbox for d in own_detections)
         self.topk_boxes = gamma_boxes

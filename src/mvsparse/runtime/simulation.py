@@ -17,6 +17,7 @@ from ..geometry import CameraModel, GroundPoint
 from ..metrics import MetricAccumulator, oracle_select
 from ..policy import PolicyAgent, target_cost
 from ..scene import (
+    GtView,
     SceneConfig,
     SceneFrame,
     ground_truth_view,
@@ -90,10 +91,10 @@ class CameraRuntime:
         self.static_mask = static_mask
         self._pending: DetectionSet | None = None
 
-    def candidate_detections(self, scene: SceneFrame, frame_id: int) -> DetectionSet:
-        """Privileged full-refresh pass (oracle mode); leaves no trace in the
-        committed state and replays the exact noise of a real full pass."""
-        gt = ground_truth_view(scene, self.camera)
+    def candidate_detections(self, gt: GtView, frame_id: int) -> DetectionSet:
+        """Privileged full-refresh pass (oracle mode) over this camera's
+        ground truth; leaves no trace in the committed state and replays the
+        exact noise of a real full pass."""
         ones = np.ones(self.grid.shape, dtype=np.uint8)
         dets, _ = simulate_view_detections(self.view_state, ones, gt, frame_id, self.cfg.detector)
         return dets
@@ -103,8 +104,12 @@ class CameraRuntime:
         scene: SceneFrame,
         frame_id: int,
         actions_override: np.ndarray | None = None,
+        gt: GtView | None = None,
     ) -> BlockUpdate:
-        gt = ground_truth_view(scene, self.camera)
+        """Select blocks and run the detector; ``gt`` is this camera's
+        ground truth for the scene when the caller has already computed it."""
+        if gt is None:
+            gt = ground_truth_view(scene, self.camera)
         mode = self.cfg.mode
         if actions_override is not None:
             actions = actions_override
@@ -115,8 +120,7 @@ class CameraRuntime:
                 raise RuntimeError("static_mask mode needs a profiled mask")
             actions = self.static_mask
         elif self.agent is not None:
-            frame_px = render_view_image(scene, self.camera)
-            actions = self.agent.act(frame_px, frame_id).actions
+            actions = self.agent.act(render_view_image(scene, self.camera), frame_id).actions
         else:
             raise RuntimeError(f"no action source for mode {mode!r}")
         dets, self.view_state = simulate_view_detections(
@@ -282,9 +286,11 @@ def run_sim(cfg: RunConfig) -> dict:
         gt_ground = scene.ground_points()
 
         oracle_masks = None
+        gts: dict[int, GtView] = {}
         if cfg.mode == "oracle":
+            gts = {rt.camera.camera_id: ground_truth_view(scene, rt.camera) for rt in runtimes}
             candidates = {
-                rt.camera.camera_id: list(rt.candidate_detections(scene, t))
+                rt.camera.camera_id: list(rt.candidate_detections(gts[rt.camera.camera_id], t))
                 for rt in runtimes
             }
             oracle_masks = oracle_select(
@@ -299,7 +305,9 @@ def run_sim(cfg: RunConfig) -> dict:
         for rt in runtimes:
             cam_id = rt.camera.camera_id
             override = oracle_masks[cam_id] if oracle_masks is not None else None
-            updates[cam_id] = rt.begin_frame(scene, t, actions_override=override)
+            updates[cam_id] = rt.begin_frame(
+                scene, t, actions_override=override, gt=gts.get(cam_id)
+            )
 
         feedbacks = engine.process(t, updates, gt_ground)
         for rt in runtimes:

@@ -224,14 +224,32 @@ def ground_truth_view(scene: SceneFrame, cam: CameraModel) -> GtView:
     return GtView(cam.camera_id, entries)
 
 
-def render_view_image(scene: SceneFrame, cam: CameraModel) -> np.ndarray:
-    """Schematic grayscale frame: flat background, one filled rectangle per
-    visible walker (nearest drawn last). Feeds the policy state, not a renderer."""
-    img = np.full((cam.height, cam.width), 24, dtype=np.uint8)
-    for pid, box, _ in sorted(_project_all(scene, cam), key=lambda e: -e[2]):
-        x0, y0, x1, y1 = box.pixel_bounds(cam.width, cam.height)
-        img[y0:y1, x0:x1] = 80 + (pid * 37) % 160
-    return img
+BACKGROUND = 24
+
+
+@dataclass(frozen=True)
+class ViewPaint:
+    """Schematic grayscale frame as painted pixel spans.
+
+    Pixel (x, y) holds the intensity of the last span in ``rects`` that
+    covers it, or ``BACKGROUND``. Each span is ``(intensity, x0, y0, x1,
+    y1)`` on integer pixel bounds; one with ``x1 <= x0`` or ``y1 <= y0``
+    paints nothing.
+    """
+
+    width: int
+    height: int
+    rects: tuple[tuple[int, int, int, int, int], ...]
+
+
+def render_view_image(scene: SceneFrame, cam: CameraModel) -> ViewPaint:
+    """Schematic frame: flat background, one filled rectangle per visible
+    walker (nearest drawn last). Feeds the policy state, not a renderer."""
+    rects = tuple(
+        (80 + (pid * 37) % 160, *box.pixel_bounds(cam.width, cam.height))
+        for pid, box, _ in sorted(_project_all(scene, cam), key=lambda e: -e[2])
+    )
+    return ViewPaint(cam.width, cam.height, rects)
 
 
 def load_trajectories(

@@ -106,9 +106,15 @@ class GroundTracker:
                 [0.0, d3, 0.0, d2],
             ]
         )
-        for t in self.tracks:
-            t.mean = F @ t.mean
-            t.cov = F @ t.cov @ F.T + Q
+        if not self.tracks:
+            return
+        # stacked F @ mean and F @ cov @ F.T + Q equal the per-track
+        # products bit for bit (tests/test_tracker.py); means @ F.T need not
+        means = (F[None] @ np.array([t.mean for t in self.tracks])[:, :, None])[:, :, 0]
+        covs = F @ np.array([t.cov for t in self.tracks]) @ F.T + Q
+        for t, mean, cov in zip(self.tracks, means, covs):
+            t.mean = mean
+            t.cov = cov
             t.age += 1
 
     def _kalman_update(self, track: Track, det: FusedDetection) -> None:

@@ -30,7 +30,7 @@ from mvsparse.runtime.simulation import run_sim
 from mvsparse.tracker import GroundTracker, TrackerConfig
 
 from test_association import brute_force_clusters, clusters_as_sets, random_separated_instance
-from test_distributed import free_port, run_distributed, two_camera_cfg
+from test_distributed import free_port, run_distributed
 from test_policy import blank_state, det_at_block, random_window, GRID
 
 
@@ -162,7 +162,7 @@ class TestCriterion4TargetTracking:
         )
         scene = SceneFrame(0, peds, 0.0)
         gt = ground_truth_view(scene, cam)
-        frame_px = render_view_image(scene, cam)
+        frame = render_view_image(scene, cam)
         ones_mask = np.ones(grid.shape, dtype=np.uint8)
         results = []
         for tau in (0.3, 0.6, 1.0):
@@ -173,7 +173,7 @@ class TestCriterion4TargetTracking:
                 vs = ViewState.initial(cam, grid, seed)
                 fractions = []
                 for t in range(1000):
-                    actions = agent.act(frame_px, t).actions
+                    actions = agent.act(frame, t).actions
                     dets, vs = simulate_view_detections(vs, actions, gt, t, cfg.detector)
                     agent.finish_frame(t, dets, (), ones_mask, tau)
                     fractions.append(actions.mean())

@@ -8,7 +8,7 @@ from mvsparse.detector import (
     fuse_ground_plane,
     simulate_view_detections,
 )
-from mvsparse.association import Cluster, cluster_detections
+from mvsparse.association import Cluster
 from mvsparse.geometry import BlockGrid, GroundPoint, camera_from_pose
 from mvsparse.scene import Pedestrian, SceneFrame, ground_truth_view
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsparse.detector import Detection, DetectionSet
 from mvsparse.geometry import BBox, BlockGrid, GroundPoint
@@ -22,6 +24,7 @@ from mvsparse.policy import (
     target_cost,
     window_loss,
 )
+from mvsparse.scene import BACKGROUND, ViewPaint
 
 GRID = BlockGrid.for_image(1152, 640, 128)
 CFG = PolicyConfig()
@@ -30,8 +33,8 @@ CFG = PolicyConfig()
 def blank_state(frame_id=10, **overrides):
     fields = dict(
         frame_id=frame_id,
-        frame=np.full((640, 1152), 24, dtype=np.uint8),
-        motion_map=np.zeros((640, 1152), dtype=np.int16),
+        frame=ViewPaint(1152, 640, ()),
+        prev_frame=ViewPaint(1152, 640, ()),
         topk_boxes=(),
         mask=np.zeros(GRID.shape, dtype=np.uint8),
         prev_detection_boxes=(),
@@ -41,6 +44,16 @@ def blank_state(frame_id=10, **overrides):
     )
     fields.update(overrides)
     return PolicyState(**fields)
+
+
+def random_paint(rng, grid, n_rects):
+    """ViewPaint of random spans and intensities, possibly empty or clipped."""
+    w, h = grid.image_size
+    rects = []
+    for _ in range(n_rects):
+        box = BBox(rng.uniform(-50, w), rng.uniform(-50, h), rng.uniform(1, 300), rng.uniform(1, 300))
+        rects.append((int(rng.integers(0, 256)), *box.pixel_bounds(w, h)))
+    return ViewPaint(w, h, tuple(rects))
 
 
 def det_at_block(row=0, col=0, gx=1.0, gy=1.0, cover_full=True):
@@ -67,11 +80,10 @@ class TestExtractBlockFeatures:
 
     def test_saturated_motion_and_topk_coverage(self):
         x0, y0, x1, y1 = GRID.block_extent(2, 3)
-        motion = np.zeros((640, 1152), dtype=np.int16)
-        motion[y0:y1, x0:x1] = 200
+        moved = ViewPaint(1152, 640, ((BACKGROUND + 200, x0, y0, x1, y1),))
         box = BBox(x0, y0, x1 - x0, y1 - y0)
         feats = extract_block_features(
-            blank_state(motion_map=motion, topk_boxes=(box,)), GRID, CFG
+            blank_state(frame=moved, topk_boxes=(box,)), GRID, CFG
         )
         idx = 2 * GRID.cols + 3
         assert feats[idx, 0] == 1.0
@@ -87,13 +99,14 @@ class TestExtractBlockFeatures:
 
     def test_all_features_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        motion = rng.integers(0, 255, size=(640, 1152)).astype(np.int16)
+        frame, prev = (random_paint(rng, GRID, 40) for _ in range(2))
         boxes = tuple(
             BBox(rng.uniform(0, 1000), rng.uniform(0, 500), rng.uniform(10, 200), rng.uniform(10, 200))
             for _ in range(6)
         )
         state = blank_state(
-            motion_map=motion,
+            frame=frame,
+            prev_frame=prev,
             topk_boxes=boxes,
             prev_detection_boxes=boxes[:3],
             prev_actions=rng.integers(0, 2, size=GRID.shape).astype(np.uint8),
@@ -190,9 +203,9 @@ class TestInformationGain:
         last = np.full(GRID.shape, 8, dtype=np.int64)
         history = {8: (GroundPoint(1.0, 1.0),)}
         x0, y0, x1, y1 = GRID.block_extent(0, 0)
-        motion = np.zeros((640, 1152), dtype=np.int16)
-        motion[y0:y1, x0:x1] = 50  # above threshold, inside the det box
-        state = blank_state(last_refresh=last, detection_history=history, motion_map=motion)
+        # intensity change 50, above threshold, inside the det box
+        moved = ViewPaint(1152, 640, ((BACKGROUND + 50, x0, y0, x1, y1),))
+        state = blank_state(last_refresh=last, detection_history=history, frame=moved)
         gamma = np.ones(GRID.shape, dtype=np.uint8)
         dets = DetectionSet(0, 10, (det_at_block(0, 0, gx=1.0, gy=1.0),))
         r = information_gain(state, dets, gamma, GRID, CFG)
@@ -356,3 +369,202 @@ class TestReinforceUpdate:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             reinforce_update(PolicyParams.initial(), [], PolicyConfig())
+
+
+# --- pixel reference ---------------------------------------------------------
+# Raster implementations of the block features and the information gain: the
+# reference the span-based code in mvsparse.policy must equal bit for bit.
+
+
+def rasterize(paint):
+    img = np.full((paint.height, paint.width), BACKGROUND, dtype=np.uint8)
+    for v, x0, y0, x1, y1 in paint.rects:
+        if x1 > x0 and y1 > y0:
+            img[y0:y1, x0:x1] = v
+    return img
+
+
+def reference_motion_map(state):
+    frame = rasterize(state.frame)
+    if state.prev_frame is None:
+        return np.zeros_like(frame, dtype=np.int16)
+    return np.abs(frame.astype(np.int16) - rasterize(state.prev_frame).astype(np.int16))
+
+
+def reference_boxes_mask(shape, boxes):
+    mask = np.zeros(shape, dtype=bool)
+    h, w = shape
+    for box in boxes:
+        x0, y0, x1, y1 = box.pixel_bounds(w, h)
+        if x1 > x0 and y1 > y0:
+            mask[y0:y1, x0:x1] = True
+    return mask
+
+
+def reference_block_fractions(grid, pixel_mask):
+    B = grid.block_size
+    h, w = pixel_mask.shape
+    H, W = grid.rows * B, grid.cols * B
+    if (h, w) != (H, W):
+        padded = np.zeros((H, W), dtype=pixel_mask.dtype)
+        padded[:h, :w] = pixel_mask
+        pixel_mask = padded
+    sums = pixel_mask.reshape(grid.rows, B, grid.cols, B).sum(axis=(1, 3), dtype=np.int64)
+    return sums / grid.block_pixel_counts()
+
+
+def reference_features(state, grid, cfg):
+    shape = (state.frame.height, state.frame.width)
+    motion = reference_block_fractions(grid, reference_motion_map(state) > cfg.motion_threshold)
+    det_cov = reference_block_fractions(grid, reference_boxes_mask(shape, state.prev_detection_boxes))
+    topk_cov = reference_block_fractions(grid, reference_boxes_mask(shape, state.topk_boxes))
+    staleness = np.clip(
+        (state.frame_id - state.last_refresh) / max(1, cfg.full_refresh_interval), 0.0, 1.0
+    )
+    n = grid.n_blocks
+    feats = np.empty((n, 7))
+    feats[:, 0] = motion.reshape(n)
+    feats[:, 1] = state.mask.reshape(n).astype(float)
+    feats[:, 2] = det_cov.reshape(n)
+    feats[:, 3] = topk_cov.reshape(n)
+    feats[:, 4] = state.prev_actions.reshape(n).astype(float)
+    feats[:, 5] = staleness.reshape(n)
+    feats[:, 6] = 1.0
+    return feats
+
+
+def reference_information_gain(state, current, gamma_mask, grid, cfg):
+    """Per-block scratch copy of the moving-in-detections raster."""
+    out = np.zeros(grid.shape, dtype=float)
+    dets = list(current)
+    shape = (state.frame.height, state.frame.width)
+    moving_in_dets = (reference_motion_map(state) > cfg.motion_threshold) & reference_boxes_mask(
+        shape, [d.bbox for d in dets]
+    )
+    counts = grid.block_pixel_counts()
+    for r, c in np.argwhere(gamma_mask != 0):
+        x0, y0, x1, y1 = (int(v) for v in grid.block_extent(int(r), int(c)))
+        scratch = moving_in_dets[y0:y1, x0:x1].copy()
+        refs = state.detection_history.get(int(state.last_refresh[r, c]), ())
+        novel = [d for d in dets if all(d.ground.distance_to(g) > cfg.ig_match_eps for g in refs)]
+        for d in novel:
+            bx0, by0, bx1, by1 = d.bbox.pixel_bounds(x1, y1)
+            bx0, by0 = max(x0, bx0), max(y0, by0)
+            if bx1 > bx0 and by1 > by0:
+                scratch[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = True
+        out[r, c] = scratch.sum() / counts[r, c]
+    return out
+
+
+# --- exactness properties ----------------------------------------------------
+
+# the paper grid and one with partial edge blocks
+PROPERTY_GRIDS = (BlockGrid.for_image(1152, 640, 128), BlockGrid.for_image(1000, 600, 128))
+# walker intensities 80 + (pid * 37) % 160 for pids 0, 13, 26 differ by 1 and
+# 2; pairs 10 apart sit exactly on the default motion threshold
+INTENSITIES = st.sampled_from(
+    [80 + (pid * 37) % 160 for pid in (0, 1, 5, 13, 26)]
+    + [BACKGROUND, BACKGROUND + 10, BACKGROUND + 11, 90, 0, 255]
+)
+REFRESH_FRAMES = (-1, 3, 6, 9)
+# thresholds equal to attainable intensity changes (10, 1 and 0), and one
+# below zero, which counts every pixel, unchanged ones included
+CONFIGS = st.sampled_from([PolicyConfig(motion_threshold=t) for t in (10.0, 1.0, 0.0, -1.0)])
+# pairs 0.5 apart, the default match radius, along an axis and a diagonal
+GROUNDS = [GroundPoint(0.4 * i, 0.3 * (i % 2)) for i in range(6)] + [GroundPoint(0.5, 0.0)]
+
+
+@st.composite
+def boxes(draw, grid, max_size=6):
+    """Boxes with corners on or off block edges, overlapping, partly or
+    wholly outside the image."""
+    w, h = grid.image_size
+    B = grid.block_size
+
+    def coord(limit):
+        return st.one_of(
+            st.sampled_from([float(v) for v in range(0, limit + 1, B)] + [float(limit)]),
+            st.integers(-80, limit + 80).map(float),
+            st.floats(-80.0, limit + 80.0),
+        )
+
+    def extent():
+        return st.one_of(st.sampled_from([float(B), 2.0 * B]), st.floats(0.5, 500.0))
+
+    n = draw(st.integers(0, max_size))
+    return [BBox(draw(coord(w)), draw(coord(h)), draw(extent()), draw(extent())) for _ in range(n)]
+
+
+@st.composite
+def paints(draw, grid):
+    w, h = grid.image_size
+    return ViewPaint(
+        w, h, tuple((draw(INTENSITIES), *b.pixel_bounds(w, h)) for b in draw(boxes(grid, 8)))
+    )
+
+
+@st.composite
+def policy_states(draw):
+    grid = draw(st.sampled_from(PROPERTY_GRIDS))
+    frame = draw(paints(grid))
+    prev = draw(
+        st.one_of(
+            st.none(),
+            paints(grid),
+            # the same spans repainted, so the threshold test decides motion
+            st.lists(INTENSITIES, min_size=len(frame.rects), max_size=len(frame.rects)).map(
+                lambda vs: ViewPaint(
+                    frame.width, frame.height, tuple((v, *r[1:]) for v, r in zip(vs, frame.rects))
+                )
+            ),
+        )
+    )
+    bits = st.lists(st.integers(0, 1), min_size=grid.n_blocks, max_size=grid.n_blocks)
+    refresh = st.lists(
+        st.sampled_from(REFRESH_FRAMES), min_size=grid.n_blocks, max_size=grid.n_blocks
+    )
+    history = {
+        f: tuple(draw(st.lists(st.sampled_from(GROUNDS), max_size=3)))
+        for f in draw(st.sets(st.sampled_from(REFRESH_FRAMES)))
+    }
+    state = PolicyState(
+        frame_id=10,
+        frame=frame,
+        prev_frame=prev,
+        topk_boxes=tuple(draw(boxes(grid))),
+        mask=np.array(draw(bits), dtype=np.uint8).reshape(grid.shape),
+        prev_detection_boxes=tuple(draw(boxes(grid))),
+        prev_actions=np.array(draw(bits), dtype=np.uint8).reshape(grid.shape),
+        last_refresh=np.array(draw(refresh), dtype=np.int64).reshape(grid.shape),
+        detection_history=history,
+    )
+    return grid, state
+
+
+EXACT = settings(max_examples=200, deadline=None)
+
+
+@EXACT
+@given(policy_states(), CONFIGS)
+def test_block_features_equal_the_pixel_reference(case, cfg):
+    grid, state = case
+    feats = extract_block_features(state, grid, cfg)
+    assert np.array_equal(feats, reference_features(state, grid, cfg))
+
+
+@EXACT
+@given(policy_states(), CONFIGS, st.data())
+def test_information_gain_equals_the_pixel_reference(case, cfg, data):
+    grid, state = case
+    dets = DetectionSet(
+        0,
+        10,
+        tuple(
+            Detection(0, box, data.draw(st.sampled_from(GROUNDS)), 0.9, False)
+            for box in data.draw(boxes(grid))
+        ),
+    )
+    bits = st.lists(st.integers(0, 1), min_size=grid.n_blocks, max_size=grid.n_blocks)
+    gamma = np.array(data.draw(bits), dtype=np.uint8).reshape(grid.shape)
+    r_ig = information_gain(state, dets, gamma, grid, cfg)
+    assert np.array_equal(r_ig, reference_information_gain(state, dets, gamma, grid, cfg))

@@ -188,6 +188,21 @@ class TestModes:
         report = run_sim(cfg)
         assert report["scores"]["blocks_per_frame_total"] == pytest.approx(expected)
 
+    def test_oracle_computes_ground_truth_once_per_camera_frame(self, monkeypatch):
+        from mvsparse.runtime import simulation
+
+        calls = []
+        real = simulation.ground_truth_view
+
+        def counted(scene, cam):
+            calls.append((scene.frame_id, cam.camera_id))
+            return real(scene, cam)
+
+        monkeypatch.setattr(simulation, "ground_truth_view", counted)
+        cfg = RunConfig(mode="oracle", frames=5, seed=11)
+        run_sim(cfg)
+        assert sorted(calls) == [(t, c) for t in range(5) for c in cfg.camera_ids]
+
     def test_static_mask_is_frozen(self):
         cfg = small_cfg(mode="static_mask", frames=14)
         cfg = cfg.with_overrides(static_mask_profile_frames=6)

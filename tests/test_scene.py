@@ -4,6 +4,7 @@ import pytest
 from mvsparse.geometry import GroundPoint, camera_from_pose, project_image_to_ground
 from mvsparse.scene import (
     Arena,
+    BACKGROUND,
     DuplicateIdentity,
     ParseError,
     Pedestrian,
@@ -134,16 +135,26 @@ class TestRenderViewImage:
     def test_renders_walkers_on_flat_background(self):
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
         empty = render_view_image(SceneFrame(0, (), 0.0), cam)
-        assert (empty == 24).all()
+        assert empty.rects == ()  # all background
         scene = SceneFrame(0, (make_ped(0, 8.0, 0.0, 9.0, 0.0),), 0.0)
         img = render_view_image(scene, cam)
-        assert img.shape == (640, 1152)
-        assert (img != 24).sum() > 0
+        assert (img.width, img.height) == (1152, 640)
+        assert sum(
+            (x1 - x0) * (y1 - y0) for v, x0, y0, x1, y1 in img.rects if v != BACKGROUND
+        ) > 0
+        for _, x0, y0, x1, y1 in img.rects:
+            assert 0 <= x0 < x1 <= 1152 and 0 <= y0 < y1 <= 640
+
+    def test_nearest_walker_painted_last(self):
+        cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
+        scene = SceneFrame(0, (make_ped(0, 6.0, 0.0, 7, 0), make_ped(1, 9.0, 0.0, 10, 0)), 0.0)
+        far_first = [v for v, *_ in render_view_image(scene, cam).rects]
+        assert far_first == [80 + 37, 80]
 
     def test_deterministic(self):
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
         scene = SceneFrame(0, (make_ped(0, 8.0, 0.5, 9.0, 0.5), make_ped(1, 6.0, -1.0, 7, -1)), 0.0)
-        assert (render_view_image(scene, cam) == render_view_image(scene, cam)).all()
+        assert render_view_image(scene, cam) == render_view_image(scene, cam)
 
 
 class TestLoadTrajectories:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsparse.detector import FusedDetection
 from mvsparse.geometry import GroundPoint
@@ -50,6 +52,44 @@ class TestPredict:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             GroundTracker(NOISELESS).predict(0.0)
+
+
+def loop_predict(tracks, dt, q):
+    """Per-track constant-velocity prediction, the reference for the
+    stacked one."""
+    F = np.eye(4)
+    F[0, 2] = dt
+    F[1, 3] = dt
+    d4, d3, d2 = dt**4 / 4.0, dt**3 / 2.0, dt**2
+    Q = q * np.array(
+        [[d4, 0.0, d3, 0.0], [0.0, d4, 0.0, d3], [d3, 0.0, d2, 0.0], [0.0, d3, 0.0, d2]]
+    )
+    return [(F @ mean, F @ cov @ F.T + Q) for mean, cov in tracks]
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(_finite, min_size=4, max_size=4), st.lists(_finite, min_size=16, max_size=16)),
+        max_size=40,
+    ),
+    st.floats(1e-3, 2.0),
+    st.floats(0.0, 5.0),
+)
+def test_stacked_predict_equals_the_per_track_loop(raw, dt, q):
+    tracker = GroundTracker(TrackerConfig(process_noise=q))
+    tracks = [(np.array(m), np.array(c).reshape(4, 4)) for m, c in raw]
+    for mean, cov in tracks:
+        tracker.tracks.append(tracker._new_track(fused(0, 0)))
+        tracker.tracks[-1].mean, tracker.tracks[-1].cov = mean, cov
+    tracker.predict(dt)
+    for track, (mean, cov) in zip(tracker.tracks, loop_predict(tracks, dt, q)):
+        assert np.array_equal(track.mean, mean)
+        assert np.array_equal(track.cov, cov)
+        assert track.age == 1
 
 
 class TestAssociateAndUpdate:
