@@ -9,7 +9,7 @@ after all views arrive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -78,14 +78,6 @@ class FusedDetection:
 
 
 @dataclass(frozen=True)
-class _StaleEntry:
-    bbox: BBox
-    ground: GroundPoint
-    score: float
-    frame: int  # frame at which the detection was captured
-
-
-@dataclass(frozen=True)
 class ViewState:
     """Per-camera detector memory (single-owner, replaced each frame)."""
 
@@ -93,7 +85,8 @@ class ViewState:
     grid: BlockGrid
     seed: int
     last_refresh: np.ndarray  # (rows, cols) int, -1 = never processed
-    stale_detections: dict[int, _StaleEntry]
+    # person id -> (capture frame, the fresh detection emitted then)
+    stale_detections: dict[int, tuple[int, Detection]]
 
     @classmethod
     def initial(cls, camera: CameraModel, grid: BlockGrid, seed: int) -> "ViewState":
@@ -146,11 +139,10 @@ def simulate_view_detections(
 
     # duplicated features survive only while none of their blocks has been
     # re-executed since capture
-    stale: dict[int, _StaleEntry] = {}
-    for pid, entry in vs.stale_detections.items():
-        blocks = blocks_for_bbox(vs.grid, entry.bbox)
-        if all(last_refresh[b] <= entry.frame for b in blocks):
-            stale[pid] = entry
+    stale: dict[int, tuple[int, Detection]] = {}
+    for pid, (captured, det) in vs.stale_detections.items():
+        if all(last_refresh[b] <= captured for b in blocks_for_bbox(vs.grid, det.bbox)):
+            stale[pid] = (captured, det)
 
     detections: list[Detection] = []
     for pid, box, visibility in gt.entries:
@@ -176,13 +168,11 @@ def simulate_view_detections(
             if ground is None:
                 continue
             score = float(min(1.0, max(0.0, visibility)))
-            detections.append(Detection(cam.camera_id, noisy, ground, score, stale=False))
-            stale[pid] = _StaleEntry(noisy, ground, score, frame_id)
+            det = Detection(cam.camera_id, noisy, ground, score, stale=False)
+            detections.append(det)
+            stale[pid] = (frame_id, det)
         elif pid in stale:
-            entry = stale[pid]
-            detections.append(
-                Detection(cam.camera_id, entry.bbox, entry.ground, entry.score, stale=True)
-            )
+            detections.append(replace(stale[pid][1], stale=True))
 
     if cfg.fp_rate > 0:
         fresh_blocks = np.argwhere(fresh)

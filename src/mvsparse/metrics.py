@@ -22,10 +22,6 @@ from .geometry import BBox, BlockGrid, GroundPoint, bbox_block_mask, gated_dista
 DEFAULT_MATCH_RADIUS = 0.5
 
 
-class EmptyRun(Exception):
-    pass
-
-
 def _match_points(
     gt: list[GroundPoint], pred: list[GroundPoint], radius: float
 ) -> list[tuple[int, int, float]]:
@@ -118,9 +114,9 @@ class MetricAccumulator:
         return idtp, self.trk_pred_total - idtp, self.trk_gt_total - idtp
 
     def finalize(self, n_cameras: int = 1) -> dict:
-        """Aggregate scores; degenerate denominators yield None sentinels."""
-        if self.det_frames == 0 and self.trk_frames == 0:
-            raise EmptyRun("no frames accumulated")
+        """Aggregate scores; degenerate denominators yield None sentinels, so
+        an accumulator that saw no frame finalizes to all-None scores and zero
+        counts."""
 
         def ratio(num: float, den: float):
             return num / den if den > 0 else None
@@ -136,7 +132,7 @@ class MetricAccumulator:
         frames = max(self.det_frames, self.trk_frames, self.resource_frames)
         return {
             "moda": moda,
-            "modp": self.overlap_sum / max(1, self.tp),
+            "modp": ratio(self.overlap_sum, self.tp),
             "precision": ratio(self.tp, self.tp + self.fp),
             "recall": ratio(self.tp, self.tp + self.fn),
             "mota": mota,

@@ -350,11 +350,12 @@ class FrameDiagnostics:
 
 
 class PolicyAgent:
-    """Owns one camera's policy, its refresh memory and its training window.
+    """Owns one camera's policy, its detection history and its training window.
 
-    Call ``act`` at the start of a frame, feed the detector with the
-    returned actions, then call ``finish_frame`` once the server feedback
-    for the frame is available.
+    Call ``act`` at the start of a frame with the frame each block was last
+    processed (the detector's ``ViewState.last_refresh``, read and never
+    written), feed the detector with the returned actions, then call
+    ``finish_frame`` once the server feedback for the frame is available.
     """
 
     def __init__(
@@ -369,7 +370,6 @@ class PolicyAgent:
         self.cfg = cfg
         self.rng = rng
         self.params = PolicyParams.initial()
-        self.last_refresh = np.full(grid.shape, -1, dtype=np.int64)
         self.detection_history: dict[int, tuple[GroundPoint, ...]] = {}
         self.window: list[WindowSample] = []
         self.prev_frame: ViewPaint | None = None
@@ -379,7 +379,7 @@ class PolicyAgent:
         self.gamma_mask = np.zeros(grid.shape, dtype=np.uint8)
         self._pending: tuple | None = None
 
-    def act(self, frame: ViewPaint, frame_id: int) -> BlockActions:
+    def act(self, frame: ViewPaint, frame_id: int, last_refresh: np.ndarray) -> BlockActions:
         state = PolicyState(
             frame_id=frame_id,
             frame=frame,
@@ -388,7 +388,7 @@ class PolicyAgent:
             mask=self.gamma_mask,
             prev_detection_boxes=self.prev_detection_boxes,
             prev_actions=self.prev_actions,
-            last_refresh=self.last_refresh.copy(),
+            last_refresh=last_refresh,
             detection_history=dict(self.detection_history),
         )
         features = extract_block_features(state, self.grid, self.cfg)
@@ -436,9 +436,9 @@ class PolicyAgent:
                 logger.warning("camera %d: skipped non-finite policy update", self.camera_id)
             self.window = []
 
-        self.last_refresh[actions != 0] = frame_id
+        # refresh frames after this one: unchanged on skipped blocks, this frame elsewhere
         self.detection_history[frame_id] = tuple(d.ground for d in own_detections)
-        live = set(np.unique(self.last_refresh).tolist()) | {frame_id}
+        live = set(np.unique(state.last_refresh[actions == 0]).tolist()) | {frame_id}
         self.detection_history = {
             f: g for f, g in self.detection_history.items() if f in live
         }

@@ -21,6 +21,7 @@ from ..geometry import BlockGrid, CameraModel, camera_from_pose
 from ..policy import PolicyConfig
 from ..scene import Arena, SceneConfig
 from ..tracker import TrackerConfig
+from .protocol import MAX_CAMERA_ID, MAX_GRID_SIDE
 
 MODES = ("full", "blockcopy", "static_mask", "mvsparse", "oracle")
 
@@ -81,6 +82,17 @@ class RunConfig:
         ids = [cam.camera_id for cam in self.cameras]
         if len(ids) != len(set(ids)):
             raise ConfigError("duplicate camera_id in rig")
+        if not all(0 <= i <= MAX_CAMERA_ID for i in ids):
+            raise ConfigError(f"camera ids must be in 0..{MAX_CAMERA_ID}, got {sorted(ids)}")
+        try:
+            grid = self.grid
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if max(grid.shape) > MAX_GRID_SIDE:
+            raise ConfigError(
+                f"block_size {self.block_size} gives a {grid.rows}x{grid.cols} grid;"
+                f" the wire carries at most {MAX_GRID_SIDE} rows and cols"
+            )
         object.__setattr__(
             self, "cameras", tuple(sorted(self.cameras, key=lambda c: c.camera_id))
         )

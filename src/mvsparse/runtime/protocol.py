@@ -18,7 +18,7 @@ from ..detector import Detection
 from ..geometry import BBox, GroundPoint
 
 MAGIC = b"MVSP"
-VERSION = 1
+VERSION = 2
 
 TYPE_HELLO = 1
 TYPE_BLOCK_UPDATE = 2
@@ -28,10 +28,9 @@ TYPE_END_OF_SEQUENCE = 4
 _HEADER = struct.Struct("<4sBBI")
 _CAMERA_ID = struct.Struct("<H")  # the whole payload of hello and end-of-sequence
 _UPDATE_HEAD = struct.Struct("<IHBBH")  # frame, camera, rows, cols, detections
-_FEEDBACK_HEAD = struct.Struct("<IHBBdHH")  # frame, camera, rows, cols, tau, boxes, points
+_FEEDBACK_HEAD = struct.Struct("<IHBBdH")  # frame, camera, rows, cols, tau, boxes
 _DET = struct.Struct("<6ddB")  # bbox x,y,w,h + ground x,y + score + stale flag
 _BOX = struct.Struct("<4d")
-_POINT = struct.Struct("<2d")
 
 
 class ProtocolError(Exception):
@@ -104,16 +103,14 @@ class BlockUpdate:
 
 @dataclass(frozen=True, eq=False)
 class ServerFeedback:
-    """Server -> camera, one per frame: the view's top-K assignment, its
-    induced block mask, the fused ground-plane detections and the view's
-    processing target."""
+    """Server -> camera, one per frame: the view's processing target, its
+    top-K assigned boxes and their induced block mask."""
 
     frame_id: int
     camera_id: int
     tau: float
     topk_boxes: tuple[BBox, ...]
     mask: np.ndarray  # (rows, cols) in {0, 1}
-    fused_grounds: tuple[GroundPoint, ...]
 
     def __eq__(self, other):
         return (
@@ -123,7 +120,6 @@ class ServerFeedback:
             and self.tau == other.tau
             and self.topk_boxes == other.topk_boxes
             and np.array_equal(self.mask, other.mask)
-            and self.fused_grounds == other.fused_grounds
         )
 
 
@@ -139,17 +135,19 @@ def _bitmap_nbytes(rows: int, cols: int) -> int:
     return (rows * cols + 7) // 8
 
 
-# Largest payload of each type the encoding can express: grid rows and cols
-# are one byte each and every record count is a uint16.
+# What the encoding can express: grid rows and cols are one byte each, and a
+# camera id and every record count are a uint16. A run config outside these
+# limits is rejected before any frame is encoded.
+MAX_GRID_SIDE = 0xFF
+MAX_CAMERA_ID = 0xFFFF
 _MAX_COUNT = 0xFFFF
-_MAX_BITMAP = _bitmap_nbytes(0xFF, 0xFF)
+_MAX_BITMAP = _bitmap_nbytes(MAX_GRID_SIDE, MAX_GRID_SIDE)
+# Largest payload of each message type.
 MAX_PAYLOAD = {
     TYPE_HELLO: _CAMERA_ID.size,
     TYPE_END_OF_SEQUENCE: _CAMERA_ID.size,
     TYPE_BLOCK_UPDATE: _UPDATE_HEAD.size + _MAX_BITMAP + _MAX_COUNT * _DET.size,
-    TYPE_SERVER_FEEDBACK: (
-        _FEEDBACK_HEAD.size + _MAX_BITMAP + _MAX_COUNT * (_BOX.size + _POINT.size)
-    ),
+    TYPE_SERVER_FEEDBACK: _FEEDBACK_HEAD.size + _MAX_BITMAP + _MAX_COUNT * _BOX.size,
 }
 
 
@@ -198,29 +196,21 @@ def encode_message(msg: Message) -> bytes:
     elif isinstance(msg, ServerFeedback):
         rows, cols = msg.mask.shape
         payload = _FEEDBACK_HEAD.pack(
-            msg.frame_id,
-            msg.camera_id,
-            rows,
-            cols,
-            msg.tau,
-            len(msg.topk_boxes),
-            len(msg.fused_grounds),
+            msg.frame_id, msg.camera_id, rows, cols, msg.tau, len(msg.topk_boxes)
         )
         payload += _pack_bitmap(msg.mask)
         for b in msg.topk_boxes:
             payload += _BOX.pack(b.x, b.y, b.w, b.h)
-        for g in msg.fused_grounds:
-            payload += _POINT.pack(g.x, g.y)
         mtype = TYPE_SERVER_FEEDBACK
     else:
         raise TypeError(f"not a protocol message: {type(msg)!r}")
     return _HEADER.pack(MAGIC, VERSION, mtype, len(payload)) + payload
 
 
-def _decode_grid_payload(payload: bytes, head: struct.Struct, record_sizes: tuple[int, ...]):
+def _decode_grid_payload(payload: bytes, head: struct.Struct, record_size: int):
     """Shared layout of updates and feedback: a fixed head whose fields 2 and
-    3 are the grid rows and cols and whose last fields count the records of
-    each size in ``record_sizes``, then the block bitmap, then the records.
+    3 are the grid rows and cols and whose last field counts the records of
+    ``record_size`` bytes, then the block bitmap, then the records.
 
     Returns (head fields, bitmap, offset of the first record). Only the
     canonical encoding decodes: the bitmap's padding bits must be zero and
@@ -239,8 +229,7 @@ def _decode_grid_payload(payload: bytes, head: struct.Struct, record_sizes: tupl
     bits = np.unpackbits(bitmap, bitorder="little")
     if bits[rows * cols :].any():
         raise MalformedPayload("nonzero bitmap padding bits")
-    counts = fields[len(fields) - len(record_sizes) :]
-    end = off + sum(count * size for count, size in zip(counts, record_sizes))
+    end = off + fields[-1] * record_size
     if len(payload) < end:
         raise TruncatedFrame("records shorter than their counts")
     if len(payload) > end:
@@ -249,15 +238,15 @@ def _decode_grid_payload(payload: bytes, head: struct.Struct, record_sizes: tupl
 
 
 def _decode_block_update(payload: bytes) -> BlockUpdate:
-    fields, actions, off = _decode_grid_payload(payload, _UPDATE_HEAD, (_DET.size,))
+    fields, actions, off = _decode_grid_payload(payload, _UPDATE_HEAD, _DET.size)
     frame_id, camera_id, _, _, n_dets = fields
     dets = _decode_detections(payload, off, n_dets, camera_id)
     return BlockUpdate(frame_id, camera_id, actions, dets)
 
 
 def _decode_server_feedback(payload: bytes) -> ServerFeedback:
-    fields, mask, off = _decode_grid_payload(payload, _FEEDBACK_HEAD, (_BOX.size, _POINT.size))
-    frame_id, camera_id, _, _, tau, n_topk, n_fused = fields
+    fields, mask, off = _decode_grid_payload(payload, _FEEDBACK_HEAD, _BOX.size)
+    frame_id, camera_id, _, _, tau, n_topk = fields
     boxes = []
     for i in range(n_topk):
         x, y, w, h = _BOX.unpack_from(payload, off + _BOX.size * i)
@@ -265,11 +254,7 @@ def _decode_server_feedback(payload: bytes) -> ServerFeedback:
             boxes.append(BBox(x, y, w, h))
         except ValueError as exc:
             raise MalformedPayload(f"feedback box {i}: {exc}") from exc
-    off += _BOX.size * n_topk
-    grounds = [
-        GroundPoint(*_POINT.unpack_from(payload, off + _POINT.size * i)) for i in range(n_fused)
-    ]
-    return ServerFeedback(frame_id, camera_id, tau, tuple(boxes), mask, tuple(grounds))
+    return ServerFeedback(frame_id, camera_id, tau, tuple(boxes), mask)
 
 
 def _parse_header(data: bytes) -> tuple[int, int]:

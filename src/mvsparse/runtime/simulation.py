@@ -120,7 +120,8 @@ class CameraRuntime:
                 raise RuntimeError("static_mask mode needs a profiled mask")
             actions = self.static_mask
         elif self.agent is not None:
-            actions = self.agent.act(render_view_image(scene, self.camera), frame_id).actions
+            frame = render_view_image(scene, self.camera)
+            actions = self.agent.act(frame, frame_id, self.view_state.last_refresh).actions
         else:
             raise RuntimeError(f"no action source for mode {mode!r}")
         dets, self.view_state = simulate_view_detections(
@@ -193,28 +194,15 @@ class ServerEngine:
             boxes = {
                 cam: tuple(d.bbox for d in topk.selected.get(cam, ())) for cam in cam_ids
             }
-        fused_grounds = tuple(f.ground for f in fused)
         return {
-            cam: ServerFeedback(
-                frame_id, cam, taus[cam], boxes[cam], masks[cam], fused_grounds
-            )
+            cam: ServerFeedback(frame_id, cam, taus[cam], boxes[cam], masks[cam])
             for cam in cam_ids
         }
 
     def report(self) -> dict:
         cfg = self.cfg
         n_cam = len(cfg.cameras)
-        if self.completed_frames > 0:
-            scores = self.acc.finalize(n_cameras=n_cam)
-        else:
-            # partial flush before any frame completed
-            scores = {
-                "moda": None, "modp": None, "precision": None, "recall": None,
-                "mota": None, "idf1": None, "id_switches": 0, "gt_total": 0,
-                "tp": 0, "fp": 0, "fn": 0, "blocks_per_frame_total": None,
-                "blocks_per_camera_frame": None, "bytes_per_frame": None,
-                "frames": 0,
-            }
+        scores = self.acc.finalize(n_cameras=n_cam)
         bytes_per_frame = scores.get("bytes_per_frame") or 0.0
         net = cfg.network
         transmission_ms = 1000.0 * bytes_per_frame / net.bandwidth_bytes_per_s

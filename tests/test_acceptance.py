@@ -173,7 +173,7 @@ class TestCriterion4TargetTracking:
                 vs = ViewState.initial(cam, grid, seed)
                 fractions = []
                 for t in range(1000):
-                    actions = agent.act(frame, t).actions
+                    actions = agent.act(frame, t, vs.last_refresh).actions
                     dets, vs = simulate_view_detections(vs, actions, gt, t, cfg.detector)
                     agent.finish_frame(t, dets, (), ones_mask, tau)
                     fractions.append(actions.mean())

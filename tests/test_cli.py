@@ -80,5 +80,12 @@ def test_malformed_config_section_exits_with_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_grid_too_large_for_wire_exits_with_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("block_size: 4\n")
+    assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_report_args(capsys):
     assert main(["report"]) == EXIT_CONFIG

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,7 @@ class TestSimulateViewDetections:
             assert len(dets) == 1
             assert dets[0].stale
             assert dets[0].bbox == captured
+            assert dets[0] == replace(dets3[0], stale=True)
 
     def test_refreshing_blocks_after_departure_clears_the_ghost(self):
         cam = make_cam()

@@ -170,7 +170,7 @@ class TestFailurePaths:
                 read_message(conn)  # hello
                 update = read_message(conn)
                 mask = np.zeros(cfg.grid.shape, dtype=np.uint8)
-                send_message(conn, ServerFeedback(update.frame_id, 1, 0.5, (), mask, ()))
+                send_message(conn, ServerFeedback(update.frame_id, 1, 0.5, (), mask))
                 conn.recv(1)  # hold the connection until the camera hangs up
 
         thread = threading.Thread(target=fake_server, daemon=True)

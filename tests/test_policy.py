@@ -10,6 +10,7 @@ from mvsparse.geometry import BBox, BlockGrid, GroundPoint
 from mvsparse.policy import (
     DimensionMismatch,
     NonFiniteGradient,
+    PolicyAgent,
     PolicyConfig,
     PolicyParams,
     PolicyState,
@@ -369,6 +370,17 @@ class TestReinforceUpdate:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             reinforce_update(PolicyParams.initial(), [], PolicyConfig())
+
+
+class TestPolicyAgent:
+    def test_staleness_comes_from_the_given_refresh_memory(self):
+        agent = PolicyAgent(0, GRID, CFG, np.random.default_rng(0))
+        last_refresh = np.random.default_rng(1).integers(-1, 50, size=GRID.shape)
+        t = 50
+        agent.act(ViewPaint(1152, 640, ()), t, last_refresh)
+        _, features, *_ = agent._pending
+        expected = np.clip((t - last_refresh) / CFG.full_refresh_interval, 0.0, 1.0)
+        assert np.array_equal(features[:, 5], expected.reshape(GRID.n_blocks))
 
 
 # --- pixel reference ---------------------------------------------------------

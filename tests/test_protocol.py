@@ -10,6 +10,7 @@ from mvsparse.detector import Detection
 from mvsparse.geometry import BBox, GroundPoint
 from mvsparse.runtime.config import RunConfig
 from mvsparse.runtime.protocol import (
+    VERSION,
     BadMagic,
     BlockUpdate,
     EndOfSequence,
@@ -52,8 +53,7 @@ def sample_feedback():
     rng = np.random.default_rng(5)
     mask = (rng.random((5, 9)) < 0.4).astype(np.uint8)
     boxes = tuple(BBox(10.0 * i + 1, 5.0 * i + 1, 30.0, 60.0) for i in range(4))
-    grounds = tuple(GroundPoint(float(i), 2.0 * i) for i in range(6))
-    return ServerFeedback(9, 1, 0.625, boxes, mask, grounds)
+    return ServerFeedback(9, 1, 0.625, boxes, mask)
 
 
 class TestRoundTrip:
@@ -107,6 +107,14 @@ class TestTypedErrors:
         with pytest.raises(VersionMismatch):
             decode_message(bytes(data))
 
+    def test_version_1_feedback_rejected(self):
+        # version 1 feedback carried fused ground points after the boxes
+        assert VERSION == 2
+        data = bytearray(encode_message(sample_feedback()))
+        data[4] = 1
+        with pytest.raises(VersionMismatch):
+            decode_message(bytes(data))
+
     def test_unknown_type(self):
         data = bytearray(encode_message(Hello(1)))
         data[5] = 200
@@ -155,7 +163,7 @@ class TestTypedErrors:
                 pass
 
 
-def _header(magic=b"MVSP", version=1, mtype=2, length=0):
+def _header(magic=b"MVSP", version=VERSION, mtype=2, length=0):
     return struct.pack("<4sBBI", magic, version, mtype, length)
 
 

@@ -18,7 +18,7 @@ from mvsparse.runtime.config import (
     save_config,
 )
 from mvsparse.runtime.report import compare_table, dumps_report, load_report, write_report
-from mvsparse.runtime.simulation import SceneSource, run_sim
+from mvsparse.runtime.simulation import CameraRuntime, SceneSource, ServerEngine, run_sim
 from mvsparse.scene import Pedestrian, SceneFrame, project_pedestrian_box
 from mvsparse.detector import DetectorConfig
 from mvsparse.geometry import GroundPoint
@@ -37,6 +37,10 @@ def small_cfg(**overrides):
     cfg = RunConfig(**{k: v for k, v in base.items() if k in RunConfig.__dataclass_fields__})
     scene = cfg.scene
     return cfg.with_overrides(scene=type(scene)(arena=scene.arena, n_pedestrians=8))
+
+
+def camera_doc(camera_id):
+    return {**camera_to_dict(default_cameras()[0]), "camera_id": camera_id}
 
 
 class TestConfig:
@@ -63,8 +67,21 @@ class TestConfig:
             {"scene": None},
             {"detector": None},
             {"cameras": 5},
+            {"block_size": 0},
+            {"block_size": 4},
+            {"cameras": [camera_doc(70000)]},
+            {"cameras": [camera_doc(-1)]},
         ],
-        ids=["nested-unknown-key", "null-scene", "null-section", "cameras-not-a-list"],
+        ids=[
+            "nested-unknown-key",
+            "null-scene",
+            "null-section",
+            "cameras-not-a-list",
+            "block-size-zero",
+            "grid-wider-than-wire",
+            "camera-id-above-uint16",
+            "camera-id-negative",
+        ],
     )
     def test_malformed_documents_are_config_errors(self, doc):
         with pytest.raises(ConfigError):
@@ -234,6 +251,23 @@ class TestModes:
         cfg = small_cfg(mode="full", frames=8).with_overrides(trajectories=str(traj))
         with pytest.raises(ConfigError):
             run_sim(cfg)
+
+
+class TestCameraRuntime:
+    def test_detection_history_follows_the_detector_refresh_memory(self):
+        # 40 frames cross the forced full refresh at frame 32
+        cfg = small_cfg(mode="mvsparse", frames=40)
+        source = SceneSource(cfg)
+        runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
+        engine = ServerEngine(cfg)
+        for t in range(cfg.frames):
+            scene = source.frame(t)
+            updates = {rt.camera.camera_id: rt.begin_frame(scene, t) for rt in runtimes}
+            feedbacks = engine.process(t, updates, scene.ground_points())
+            for rt in runtimes:
+                rt.end_frame(t, feedbacks[rt.camera.camera_id])
+                refreshed = {f for f in rt.view_state.last_refresh.flat if f >= 0}
+                assert set(rt.agent.detection_history) == refreshed | {t}
 
 
 class TestSceneSource:
