@@ -21,7 +21,8 @@ from .geometry import (
     CameraModel,
     GeometryError,
     GroundPoint,
-    blocks_for_bbox,
+    block_range,
+    image_to_ground,
     project_image_to_ground,
 )
 from .scene import GtView
@@ -83,7 +84,9 @@ class ViewState:
 
     camera: CameraModel
     grid: BlockGrid
-    seed: int
+    # the run seed's detector streams; its generator is re-seeded per
+    # stream, so it carries nothing from one frame to the next
+    streams: rngmod.SeedStreams
     last_refresh: np.ndarray  # (rows, cols) int, -1 = never processed
     # person id -> (capture frame, the fresh detection emitted then)
     stale_detections: dict[int, tuple[int, Detection]]
@@ -93,18 +96,10 @@ class ViewState:
         return cls(
             camera,
             grid,
-            seed,
+            rngmod.SeedStreams(seed),
             np.full(grid.shape, -1, dtype=np.int64),
             {},
         )
-
-
-def _entity_rng(vs: ViewState, frame_id: int, person_id: int) -> np.random.Generator:
-    return rngmod.substream(vs.seed, rngmod.DETECT, vs.camera.camera_id, frame_id, person_id)
-
-
-def _fp_rng(vs: ViewState, frame_id: int) -> np.random.Generator:
-    return rngmod.substream(vs.seed, rngmod.DETECT_FP, vs.camera.camera_id, frame_id)
 
 
 def _ground_of(cam: CameraModel, box: BBox) -> GroundPoint | None:
@@ -124,61 +119,96 @@ def simulate_view_detections(
     """Run one frame of the simulated detector under the given block actions.
 
     Returns the emitted detections and the successor view state. Random
-    draws come from per-(frame, person) substreams, so emitted boxes for a
+    draws come from per-(frame, person) streams, so emitted boxes for a
     given identity do not depend on what happens to other blocks or objects.
+    Block tests read a summed-area table of the fresh blocks, the entity
+    streams are seeded together, and the fresh boxes share one stacked
+    ground solve.
     """
     actions = np.asarray(actions)
     if actions.shape != vs.grid.shape:
         raise DimensionMismatch(
             f"actions shaped {actions.shape}, grid is {vs.grid.shape}"
         )
-    cam = vs.camera
+    cam, grid = vs.camera, vs.grid
     fresh = actions.astype(bool)
     last_refresh = vs.last_refresh.copy()
     last_refresh[fresh] = frame_id
+    # summed-area table of the fresh blocks: a cell range touches a fresh
+    # block iff its sum is positive
+    sat = np.zeros((grid.rows + 1, grid.cols + 1), dtype=np.int64)
+    sat[1:, 1:] = fresh.cumsum(axis=0).cumsum(axis=1)
+    sat = sat.tolist()
 
-    # duplicated features survive only while none of their blocks has been
-    # re-executed since capture
-    stale: dict[int, tuple[int, Detection]] = {}
-    for pid, (captured, det) in vs.stale_detections.items():
-        if all(last_refresh[b] <= captured for b in blocks_for_bbox(vs.grid, det.bbox)):
-            stale[pid] = (captured, det)
+    def touches_fresh(cells: tuple[int, int, int, int]) -> bool:
+        r0, r1, c0, c1 = cells
+        return sat[r1 + 1][c1 + 1] - sat[r0][c1 + 1] - sat[r1 + 1][c0] + sat[r0][c0] > 0
 
-    detections: list[Detection] = []
-    for pid, box, visibility in gt.entries:
+    # detectable gt entries that touch a fresh block are detected afresh;
+    # the others may replay the detector's memory
+    entries = gt.entries
+    picked: list[int] = []
+    waiting: list[int] = []
+    for i, (pid, box, visibility) in enumerate(entries):
         if visibility < cfg.v_min or box.h < cfg.min_box_height_px:
             continue
-        touches_fresh = any(fresh[b] for b in blocks_for_bbox(vs.grid, box))
-        if touches_fresh:
-            erng = _entity_rng(vs, frame_id, pid)
-            missed = erng.uniform() < cfg.p_miss
-            noise = erng.normal(0.0, 1.0, size=4) * cfg.sigma_px
-            if missed:
-                continue
-            # independent edge jitter: left, top, right, bottom
-            noisy = BBox(
-                box.x + noise[0],
-                box.y + noise[1],
-                max(2.0, box.w + (noise[2] - noise[0])),
-                max(2.0, box.h + (noise[3] - noise[1])),
-            ).clamped(cam.width, cam.height)
-            if noisy is None:
-                continue
-            ground = _ground_of(cam, noisy)
-            if ground is None:
-                continue
-            score = float(min(1.0, max(0.0, visibility)))
-            det = Detection(cam.camera_id, noisy, ground, score, stale=False)
-            detections.append(det)
-            stale[pid] = (frame_id, det)
-        elif pid in stale:
-            detections.append(replace(stale[pid][1], stale=True))
+        cells = block_range(grid, box)
+        (picked if cells is not None and touches_fresh(cells) else waiting).append(i)
 
-    if cfg.fp_rate > 0:
-        fresh_blocks = np.argwhere(fresh)
-        if len(fresh_blocks):
-            frng = _fp_rng(vs, frame_id)
-            for _ in range(frng.poisson(cfg.fp_rate)):
+    # fresh boxes: missed or jittered and clamped, then grounded together
+    noisy: list[tuple[int, BBox]] = []
+    key = (rngmod.DETECT, cam.camera_id, frame_id)
+    for i, erng in zip(picked, vs.streams.each(key, [entries[i][0] for i in picked])):
+        # random() is uniform() on [0, 1): the same double from the same draw
+        missed = erng.random() < cfg.p_miss
+        n0, n1, n2, n3 = (erng.normal(0.0, 1.0, size=4) * cfg.sigma_px).tolist()
+        if missed:
+            continue
+        box = entries[i][1]
+        # independent edge jitter: left, top, right, bottom
+        jittered = BBox(
+            box.x + n0,
+            box.y + n1,
+            max(2.0, box.w + (n2 - n0)),
+            max(2.0, box.h + (n3 - n1)),
+        ).clamped(cam.width, cam.height)
+        if jittered is not None:
+            noisy.append((i, jittered))
+    hits, s = image_to_ground(cam, [(b.x + b.w / 2.0, b.y + b.h) for _, b in noisy])
+    emitted: dict[int, Detection] = {}
+    for (i, box), ground, on_ground in zip(noisy, hits.tolist(), (s > 0).tolist()):
+        if on_ground:
+            score = float(min(1.0, max(0.0, entries[i][2])))
+            emitted[i] = Detection(cam.camera_id, box, GroundPoint(*ground), score, stale=False)
+
+    # duplicated features survive only while none of their blocks has been
+    # re-executed since capture (a fresh block was, this frame); the ones a
+    # fresh detection replaces need no test
+    replaced = {entries[i][0] for i in emitted}
+    stale: dict[int, tuple[int, Detection]] = {}
+    for pid, (captured, det) in vs.stale_detections.items():
+        if pid in replaced:
+            continue
+        cells = block_range(grid, det.bbox)
+        if cells is None:
+            stale[pid] = (captured, det)
+            continue
+        r0, r1, c0, c1 = cells
+        if not touches_fresh(cells) and last_refresh[r0 : r1 + 1, c0 : c1 + 1].max() <= captured:
+            stale[pid] = (captured, det)
+    replays = {
+        i: replace(stale[entries[i][0]][1], stale=True) for i in waiting if entries[i][0] in stale
+    }
+    stale.update((entries[i][0], (frame_id, det)) for i, det in emitted.items())
+    # in gt order
+    detections = [emitted.get(i) or replays[i] for i in sorted(emitted.keys() | replays.keys())]
+
+    if cfg.fp_rate > 0 and fresh.any():
+        frng = rngmod.substream(vs.streams.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
+        n_false = frng.poisson(cfg.fp_rate)
+        if n_false:
+            fresh_blocks = np.argwhere(fresh)
+            for _ in range(n_false):
                 r, c = fresh_blocks[frng.integers(len(fresh_blocks))]
                 x0, y0, x1, y1 = vs.grid.block_extent(int(r), int(c))
                 cx = frng.uniform(x0, x1)
@@ -194,7 +224,7 @@ def simulate_view_detections(
                 score = float(frng.uniform(0.2, 0.7))
                 detections.append(Detection(cam.camera_id, box, ground, score, stale=False))
 
-    new_state = ViewState(cam, vs.grid, vs.seed, last_refresh, stale)
+    new_state = ViewState(cam, vs.grid, vs.streams, last_refresh, stale)
     return DetectionSet(cam.camera_id, frame_id, tuple(detections)), new_state
 
 

@@ -199,18 +199,46 @@ def camera_from_pose(
     return CameraModel(camera_id, K, R, np.array(position, dtype=float), (w, h))
 
 
-def project_world_point(cam: CameraModel, point_w: np.ndarray) -> ImagePoint:
-    """Project an arbitrary 3-d world point; raises BehindCamera at depth <= 0."""
-    pc = cam.world_to_camera(point_w)
+def project_camera_point(cam: CameraModel, pc: np.ndarray) -> ImagePoint:
+    """Project a camera-frame point; raises BehindCamera at depth <= 0."""
     if pc[2] <= 0:
         raise BehindCamera(f"camera {cam.camera_id}: point at depth {pc[2]:.3f}")
     uvw = cam.intrinsics @ pc
     return ImagePoint(uvw[0] / uvw[2], uvw[1] / uvw[2])
 
 
+def project_world_point(cam: CameraModel, point_w: np.ndarray) -> ImagePoint:
+    """Project an arbitrary 3-d world point; raises BehindCamera at depth <= 0."""
+    return project_camera_point(cam, cam.world_to_camera(point_w))
+
+
 def project_ground_to_image(cam: CameraModel, p: GroundPoint) -> ImagePoint:
     """Pinhole projection of the ground point (p.x, p.y, 0)."""
     return project_world_point(cam, np.array([p.x, p.y, 0.0]))
+
+
+def image_to_ground(cam: CameraModel, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersect the rays of (n, 2) pixels with the z=0 plane in one pass.
+
+    Returns the (n, 2) ground hits and the (n,) ray parameters s, the hit
+    being ``translation + s * ray``: NaN where the ray is parallel to the
+    ground, <= 0 where the hit lies behind the camera, and only rows with
+    s > 0 are hits. The stacked solve and product give each row bit for
+    bit what a solve of that pixel alone gives (``np.linalg.solve(K, B)``
+    with B of shape (3, n) would not).
+    """
+    uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+    n = len(uv)
+    q = np.ones((n, 3, 1))
+    q[:, :2, 0] = uv
+    d_cam = np.linalg.solve(cam.intrinsics, q)  # K broadcasts over the n systems
+    d_world = (cam.rotation.T[None] @ d_cam)[..., 0]
+    origin = cam.translation
+    dz = d_world[:, 2]
+    parallel = np.abs(dz) < 1e-12
+    s = -origin[2] / np.where(parallel, 1.0, dz)
+    s[parallel] = np.nan
+    return origin[:2] + s[:, None] * d_world[:, :2], s
 
 
 def project_image_to_ground(cam: CameraModel, q: ImagePoint) -> GroundPoint:
@@ -219,16 +247,12 @@ def project_image_to_ground(cam: CameraModel, q: ImagePoint) -> GroundPoint:
     Raises RayParallelToGround when the ray never meets the plane and
     BehindCamera when the intersection lies behind the camera.
     """
-    d_cam = np.linalg.solve(cam.intrinsics, np.array([q.u, q.v, 1.0]))
-    d_world = cam.rotation.T @ d_cam
-    origin = cam.translation
-    if abs(d_world[2]) < 1e-12:
+    hits, s = image_to_ground(cam, np.array([[q.u, q.v]]))
+    if np.isnan(s[0]):
         raise RayParallelToGround(f"camera {cam.camera_id}: ray through ({q.u}, {q.v}) is horizontal")
-    s = -origin[2] / d_world[2]
-    if s <= 0:
-        raise BehindCamera(f"camera {cam.camera_id}: ground intersection behind camera (s={s:.3f})")
-    hit = origin + s * d_world
-    return GroundPoint(hit[0], hit[1])
+    if s[0] <= 0:
+        raise BehindCamera(f"camera {cam.camera_id}: ground intersection behind camera (s={s[0]:.3f})")
+    return GroundPoint(hits[0, 0], hits[0, 1])
 
 
 @dataclass(frozen=True)
@@ -275,19 +299,30 @@ class BlockGrid:
         return row_px[:, None] * col_px[None, :]
 
 
-def blocks_for_bbox(grid: BlockGrid, box: BBox) -> set[tuple[int, int]]:
-    """Grid cells whose pixel extent intersects the box (clamped to the image)."""
+def block_range(grid: BlockGrid, box: BBox) -> tuple[int, int, int, int] | None:
+    """Inclusive row and column range ``(r0, r1, c0, c1)`` of the grid cells
+    whose pixel extent intersects the box (clamped to the image); None when
+    it touches none."""
     w, h = grid.image_size
     clamped = box.clamped(w, h)
     if clamped is None:
-        return set()
+        return None
     B = grid.block_size
     c0 = int(clamped.x // B)
-    c1 = int(min(clamped.x + clamped.w, w) - 1e-9) // B
+    c1 = min(int(min(clamped.x + clamped.w, w) - 1e-9) // B, grid.cols - 1)
     r0 = int(clamped.y // B)
-    r1 = int(min(clamped.y + clamped.h, h) - 1e-9) // B
-    c1 = min(int(c1), grid.cols - 1)
-    r1 = min(int(r1), grid.rows - 1)
+    r1 = min(int(min(clamped.y + clamped.h, h) - 1e-9) // B, grid.rows - 1)
+    if r1 < r0 or c1 < c0:
+        return None
+    return r0, r1, c0, c1
+
+
+def blocks_for_bbox(grid: BlockGrid, box: BBox) -> set[tuple[int, int]]:
+    """Grid cells whose pixel extent intersects the box (clamped to the image)."""
+    cells = block_range(grid, box)
+    if cells is None:
+        return set()
+    r0, r1, c0, c1 = cells
     return {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)}
 
 
@@ -295,6 +330,8 @@ def bbox_block_mask(grid: BlockGrid, boxes: list[BBox]) -> np.ndarray:
     """Binary (rows, cols) mask of all cells touched by any of the boxes."""
     mask = np.zeros(grid.shape, dtype=np.uint8)
     for box in boxes:
-        for r, c in blocks_for_bbox(grid, box):
-            mask[r, c] = 1
+        cells = block_range(grid, box)
+        if cells is not None:
+            r0, r1, c0, c1 = cells
+            mask[r0 : r1 + 1, c0 : c1 + 1] = 1
     return mask

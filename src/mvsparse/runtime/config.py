@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.frames < 1:
             raise ConfigError("frames must be >= 1")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.k_views < 1:
             raise ConfigError("k_views must be >= 1")
         if self.dt <= 0:

@@ -20,6 +20,7 @@ from ..scene import (
     GtView,
     SceneConfig,
     SceneFrame,
+    TrajectoryError,
     ground_truth_view,
     init_scene,
     load_trajectories,
@@ -47,9 +48,12 @@ class SceneSource:
         self._scene_cfg: SceneConfig = cfg.scene
         self._replay: list[SceneFrame] | None = None
         if cfg.trajectories:
-            self._replay = load_trajectories(
-                cfg.trajectories, cfg.scene.ped_height, cfg.scene.ped_radius
-            )
+            try:
+                self._replay = load_trajectories(
+                    cfg.trajectories, cfg.scene.ped_height, cfg.scene.ped_radius
+                )
+            except (TrajectoryError, OSError) as exc:
+                raise ConfigError(f"trajectories: {exc}") from exc
             if len(self._replay) < cfg.frames:
                 raise ConfigError(
                     f"trajectory file holds {len(self._replay)} frames, run wants {cfg.frames}"

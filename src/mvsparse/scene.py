@@ -12,7 +12,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import BBox, CameraModel, GeometryError, GroundPoint, project_world_point
+from .geometry import (
+    BBox,
+    CameraModel,
+    GeometryError,
+    GroundPoint,
+    project_camera_point,
+    project_world_point,
+)
 
 DEFAULT_PED_HEIGHT = 1.8
 DEFAULT_PED_RADIUS = 0.3
@@ -161,11 +168,12 @@ def project_pedestrian_box(cam: CameraModel, ped: Pedestrian) -> tuple[BBox, flo
     be grounded); only the top may clamp at the image border.
     """
     foot_w = np.array([ped.position.x, ped.position.y, 0.0])
-    depth = cam.world_to_camera(foot_w)[2]
+    foot_c = cam.world_to_camera(foot_w)
+    depth = foot_c[2]
     if depth <= 0:
         return None
+    foot = project_camera_point(cam, foot_c)
     try:
-        foot = project_world_point(cam, foot_w)
         head = project_world_point(cam, foot_w + np.array([0.0, 0.0, ped.height]))
     except GeometryError:
         return None
@@ -260,7 +268,8 @@ def load_trajectories(
     """Read line-oriented ``frame_id person_id x y`` records.
 
     Returns frames sorted by frame_id. Blank lines and '#' comments are
-    skipped. Duplicate (frame_id, person_id) pairs raise DuplicateIdentity.
+    skipped. Malformed lines and negative ids raise ParseError, duplicate
+    (frame_id, person_id) pairs DuplicateIdentity.
     """
     frames: dict[int, list[Pedestrian]] = {}
     seen: set[tuple[int, int]] = set()
@@ -279,6 +288,8 @@ def load_trajectories(
                 y = float(parts[3])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if frame_id < 0 or person_id < 0:
+                raise ParseError(f"{path}: line {lineno}: frame and person ids must be >= 0")
             key = (frame_id, person_id)
             if key in seen:
                 raise DuplicateIdentity(

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 
 from mvsparse.runtime.cli import EXIT_CONFIG, EXIT_OK, main
@@ -89,3 +90,25 @@ def test_grid_too_large_for_wire_exits_with_config_error(tmp_path, capsys):
 
 def test_missing_report_args(capsys):
     assert main(["report"]) == EXIT_CONFIG
+
+
+def test_negative_seed_exits_with_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    write_small_cfg(cfg_path)
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "-1"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0 0 5.0\n", "0 -1 5.0 6.0\n", None],
+    ids=["three-fields", "negative-person", "missing-file"],
+)
+def test_bad_trajectory_file_exits_with_config_error(tmp_path, capsys, rows):
+    traj = tmp_path / "traj.txt"
+    if rows is not None:
+        traj.write_text(rows)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"frames: 1\ntrajectories: {traj}\n")
+    assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err

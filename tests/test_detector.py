@@ -2,8 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvsparse import rng as rngmod
 from mvsparse.detector import (
+    Detection,
+    DetectionSet,
     DetectorConfig,
     DimensionMismatch,
     ViewState,
@@ -11,7 +16,7 @@ from mvsparse.detector import (
     simulate_view_detections,
 )
 from mvsparse.association import Cluster
-from mvsparse.geometry import BlockGrid, GroundPoint, camera_from_pose
+from mvsparse.geometry import BBox, BlockGrid, GroundPoint, blocks_for_bbox, camera_from_pose
 from mvsparse.scene import Pedestrian, SceneFrame, ground_truth_view
 
 PERFECT = DetectorConfig(sigma_px=0.0, p_miss=0.0, fp_rate=0.0, min_box_height_px=0.0)
@@ -216,3 +221,120 @@ class TestFuseGroundPlane:
 
     def test_empty_cluster_list(self):
         assert fuse_ground_plane([]) == []
+
+
+def _reference_ground(cam, box):
+    """Per-detection ground solve, as the detector did it before the stack."""
+    d_cam = np.linalg.solve(cam.intrinsics, np.array([box.x + box.w / 2.0, box.y + box.h, 1.0]))
+    d_world = cam.rotation.T @ d_cam
+    if abs(d_world[2]) < 1e-12:
+        return None
+    s = -cam.translation[2] / d_world[2]
+    if s <= 0:
+        return None
+    hit = cam.translation + s * d_world
+    return GroundPoint(hit[0], hit[1])
+
+
+def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
+    """The detector one entity at a time: a ``substream`` per fresh walker,
+    cell sets for the block tests and a ground solve per detection. The
+    array detector must give the same detections and state."""
+    cam = vs.camera
+    fresh = np.asarray(actions).astype(bool)
+    last_refresh = vs.last_refresh.copy()
+    last_refresh[fresh] = frame_id
+    stale = {}
+    for pid, (captured, det) in vs.stale_detections.items():
+        if all(last_refresh[b] <= captured for b in blocks_for_bbox(vs.grid, det.bbox)):
+            stale[pid] = (captured, det)
+    detections = []
+    for pid, box, visibility in gt.entries:
+        if visibility < cfg.v_min or box.h < cfg.min_box_height_px:
+            continue
+        if any(fresh[b] for b in blocks_for_bbox(vs.grid, box)):
+            erng = rngmod.substream(vs.streams.seed, rngmod.DETECT, cam.camera_id, frame_id, pid)
+            missed = erng.uniform() < cfg.p_miss
+            noise = erng.normal(0.0, 1.0, size=4) * cfg.sigma_px
+            if missed:
+                continue
+            noisy = BBox(
+                box.x + noise[0],
+                box.y + noise[1],
+                max(2.0, box.w + (noise[2] - noise[0])),
+                max(2.0, box.h + (noise[3] - noise[1])),
+            ).clamped(cam.width, cam.height)
+            if noisy is None:
+                continue
+            ground = _reference_ground(cam, noisy)
+            if ground is None:
+                continue
+            det = Detection(cam.camera_id, noisy, ground, float(min(1.0, max(0.0, visibility))), stale=False)
+            detections.append(det)
+            stale[pid] = (frame_id, det)
+        elif pid in stale:
+            detections.append(replace(stale[pid][1], stale=True))
+    if cfg.fp_rate > 0:
+        fresh_blocks = np.argwhere(fresh)
+        if len(fresh_blocks):
+            frng = rngmod.substream(vs.streams.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
+            for _ in range(frng.poisson(cfg.fp_rate)):
+                r, c = fresh_blocks[frng.integers(len(fresh_blocks))]
+                x0, y0, x1, y1 = vs.grid.block_extent(int(r), int(c))
+                cx = frng.uniform(x0, x1)
+                cy = frng.uniform(y0, y1)
+                w = frng.uniform(16.0, 48.0)
+                h = frng.uniform(cfg.min_box_height_px, cfg.min_box_height_px + 70.0)
+                box = BBox(cx - w / 2.0, cy - h / 2.0, w, h).clamped(cam.width, cam.height)
+                if box is None:
+                    continue
+                ground = _reference_ground(cam, box)
+                if ground is None:
+                    continue
+                score = float(frng.uniform(0.2, 0.7))
+                detections.append(Detection(cam.camera_id, box, ground, score, stale=False))
+    new_state = ViewState(cam, vs.grid, vs.streams, last_refresh, stale)
+    return DetectionSet(cam.camera_id, frame_id, tuple(detections)), new_state
+
+
+_walkers = st.lists(
+    st.tuples(st.floats(-2.0, 14.0), st.floats(-2.0, 20.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    max_size=12,
+)
+_configs = st.builds(
+    DetectorConfig,
+    v_min=st.sampled_from([0.0, 0.25, 0.9]),
+    sigma_px=st.sampled_from([0.0, 2.0, 40.0]),
+    p_miss=st.sampled_from([0.0, 0.3]),
+    fp_rate=st.sampled_from([0.0, 0.5, 4.0]),
+    min_box_height_px=st.sampled_from([0.0, 36.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _walkers,
+    _configs,
+    st.integers(0, 2**40),
+    st.integers(0, 3),
+    st.lists(st.sampled_from([0.0, 0.2, 0.6, 1.0]), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_array_detector_equals_the_reference(walkers, cfg, seed, cam_id, densities, action_seed):
+    # walkers near the arena corner leave the view or cross the image
+    # borders, and large jitter pushes boxes past them
+    cam = camera_from_pose(cam_id, (-4.0, -4.0, 9.0), 45.0, 30.0, 750.0, (1152, 640))
+    grid = BlockGrid.for_image(1152, 640, 128)
+    arng = np.random.default_rng(action_seed)
+    got_vs = want_vs = ViewState.initial(cam, grid, seed)
+    for t, density in enumerate(densities):
+        peds = tuple(
+            walker(pid, x + vx * t, y + vy * t, vx, vy) for pid, (x, y, vx, vy) in enumerate(walkers)
+        )
+        gt = gt_for(SceneFrame(t, peds, 0.0), cam)
+        actions = (arng.random(grid.shape) < density).astype(np.uint8)
+        got, got_vs = simulate_view_detections(got_vs, actions, gt, t, cfg)
+        want, want_vs = reference_simulate_view_detections(want_vs, actions, gt, t, cfg)
+        assert got == want
+        assert np.array_equal(got_vs.last_refresh, want_vs.last_refresh)
+        assert got_vs.stale_detections == want_vs.stale_detections

@@ -13,8 +13,11 @@ from mvsparse.geometry import (
     GroundPoint,
     ImagePoint,
     RayParallelToGround,
+    bbox_block_mask,
+    block_range,
     blocks_for_bbox,
     camera_from_pose,
+    image_to_ground,
     project_ground_to_image,
     project_image_to_ground,
 )
@@ -196,3 +199,114 @@ def test_pixel_bounds_equals_numpy_floor_ceil(x, y, w, h, width, height):
     bounds = box.pixel_bounds(width, height)
     assert bounds == _reference_pixel_bounds(box, width, height)
     assert all(type(v) is int for v in bounds)
+
+
+def _reference_blocks_for_bbox(grid: BlockGrid, box: BBox) -> set[tuple[int, int]]:
+    """The cell-set arithmetic ``blocks_for_bbox`` had before ``block_range``."""
+    w, h = grid.image_size
+    clamped = box.clamped(w, h)
+    if clamped is None:
+        return set()
+    B = grid.block_size
+    c0 = int(clamped.x // B)
+    c1 = int(min(clamped.x + clamped.w, w) - 1e-9) // B
+    r0 = int(clamped.y // B)
+    r1 = int(min(clamped.y + clamped.h, h) - 1e-9) // B
+    c1 = min(int(c1), grid.cols - 1)
+    r1 = min(int(r1), grid.rows - 1)
+    return {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)}
+
+
+# corners and extents on and next to the 128 px block edges, plus slivers
+_edge = st.sampled_from([0.0, 127.0, 128.0, 128.0 - 1e-10, 128.0 + 1e-10, 255.5, 640.0, 1152.0])
+_box_corner = st.one_of(_edge, _edge.map(lambda v: -v), st.floats(-200.0, 1300.0))
+_box_extent = st.one_of(_edge.filter(lambda v: v > 0), st.floats(1e-10, 1400.0))
+_grid = st.builds(
+    BlockGrid.for_image, st.integers(1, 1300), st.integers(1, 700), st.sampled_from([1, 7, 64, 128, 200])
+)
+_boxes = st.lists(st.tuples(_box_corner, _box_corner, _box_extent, _box_extent), max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_grid, _box_corner, _box_corner, _box_extent, _box_extent)
+def test_block_range_expands_to_the_reference_cell_set(grid, x, y, w, h):
+    box = BBox(x, y, w, h)
+    expected = _reference_blocks_for_bbox(grid, box)
+    cells = block_range(grid, box)
+    if cells is None:
+        assert not expected
+    else:
+        r0, r1, c0, c1 = cells
+        assert {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)} == expected
+    assert blocks_for_bbox(grid, box) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid, _boxes)
+def test_bbox_block_mask_is_the_union_of_cell_sets(grid, boxes):
+    boxes = [BBox(*b) for b in boxes]
+    expected = np.zeros(grid.shape, dtype=np.uint8)
+    for box in boxes:
+        for cell in _reference_blocks_for_bbox(grid, box):
+            expected[cell] = 1
+    got = bbox_block_mask(grid, boxes)
+    assert got.dtype == np.uint8 and np.array_equal(got, expected)
+
+
+def _scalar_ground(cam: CameraModel, u: float, v: float):
+    """One pixel's ground hit as ``project_image_to_ground`` computed it
+    before the stacked solve: a GroundPoint or the exception class."""
+    d_cam = np.linalg.solve(cam.intrinsics, np.array([u, v, 1.0]))
+    d_world = cam.rotation.T @ d_cam
+    origin = cam.translation
+    if abs(d_world[2]) < 1e-12:
+        return RayParallelToGround
+    s = -origin[2] / d_world[2]
+    if s <= 0:
+        return BehindCamera
+    hit = origin + s * d_world
+    return GroundPoint(hit[0], hit[1])
+
+
+@st.composite
+def _cameras(draw):
+    """Posed cameras with general, skewed intrinsics; pitch 0 puts the
+    principal row on the horizon, where rays run parallel to the ground."""
+    cam = camera_from_pose(
+        0,
+        (draw(st.floats(-20, 20)), draw(st.floats(-20, 20)), draw(st.floats(0.5, 15))),
+        draw(st.floats(-180, 180)),
+        draw(st.one_of(st.just(0.0), st.floats(-80, 80))),
+        750.0,
+        (1152, 640),
+    )
+    fx, fy = draw(st.floats(100, 3000)), draw(st.floats(100, 3000))
+    skew = draw(st.one_of(st.just(0.0), st.floats(-50, 50)))
+    cx, cy = draw(st.floats(0, 1152)), draw(st.floats(0, 640))
+    K = np.array([[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
+    return CameraModel(0, K, cam.rotation, cam.translation, cam.image_size), cy
+
+
+_pixels = st.lists(st.tuples(st.floats(-500, 1700), st.floats(-500, 1200)), min_size=1, max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cameras(), _pixels, st.data())
+def test_stacked_ground_solve_equals_the_scalar_solve(camera, pixels, data):
+    cam, cy = camera
+    # include pixels on the principal row (parallel rays at pitch 0)
+    pixels = pixels + [(u, cy) for u, _ in pixels[: data.draw(st.integers(0, len(pixels)))]]
+    hits, s = image_to_ground(cam, np.array(pixels))
+    for (u, v), hit, si in zip(pixels, hits, s):
+        expected = _scalar_ground(cam, u, v)
+        if expected is RayParallelToGround:
+            assert np.isnan(si)
+        elif expected is BehindCamera:
+            assert si <= 0
+        else:
+            assert si > 0 and (hit[0], hit[1]) == (expected.x, expected.y)
+        if isinstance(expected, GroundPoint):
+            assert project_image_to_ground(cam, ImagePoint(u, v)) == expected
+        else:
+            with pytest.raises(expected):
+                project_image_to_ground(cam, ImagePoint(u, v))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -71,6 +72,8 @@ class TestConfig:
             {"block_size": 4},
             {"cameras": [camera_doc(70000)]},
             {"cameras": [camera_doc(-1)]},
+            {"seed": -1},
+            {"seed": 1.5},
         ],
         ids=[
             "nested-unknown-key",
@@ -81,6 +84,8 @@ class TestConfig:
             "grid-wider-than-wire",
             "camera-id-above-uint16",
             "camera-id-negative",
+            "seed-negative",
+            "seed-not-an-integer",
         ],
     )
     def test_malformed_documents_are_config_errors(self, doc):
@@ -135,6 +140,24 @@ class TestRunSimDeterminism:
         a = run_sim(small_cfg(mode="mvsparse", frames=20, seed=1))
         b = run_sim(small_cfg(mode="mvsparse", frames=20, seed=2))
         assert dumps_report(a) != dumps_report(b)
+
+
+    # dumps_report SHA-256 of the default scene, seed 11, 40 frames. A
+    # speedup must leave these unchanged; a change that is meant to move
+    # the scores re-pins them and says why.
+    PINNED_DIGESTS = {
+        "full": "32e74b461bfc69f6b43235559d86bc3e8e6723d5992a716fe1a7ef8a1e47f080",
+        "mvsparse": "8a42e65e07be14919c26c657b7dbc63a6594f131cdf8858dced9b3964e005fdf",
+        "blockcopy": "e11a982aa15f331c8721b42dcd2e0f1ce13995a800c0ab13bb4fd67afce2c779",
+        "static_mask": "a48423910dbe5cf4c34664dbe294cd213c34fdab96db11bd1e5e309822a80155",
+        "oracle": "b7eeea61bcf1872ae20dd238105257e3314e7cb1ded22a67cc89e8ccedeb13f2",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
+    def test_report_digest_is_pinned(self, mode):
+        report = run_sim(RunConfig(mode=mode, frames=40, seed=11))
+        digest = hashlib.sha256(dumps_report(report).encode()).hexdigest()
+        assert digest == self.PINNED_DIGESTS[mode]
 
 
 class TestModes:
@@ -244,6 +267,19 @@ class TestModes:
         report = run_sim(cfg)
         assert report["completed_frames"] == 8
         assert report["scores"]["gt_total"] == 16
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["0 0 5.0\n", "0 -1 5.0 6.0\n", "-1 0 5.0 6.0\n", "0 0 5.0 6.0\n0 0 5.5 6.0\n", None],
+        ids=["three-fields", "negative-person", "negative-frame", "duplicate-identity", "missing-file"],
+    )
+    def test_bad_trajectory_file_is_config_error(self, tmp_path, rows):
+        traj = tmp_path / "traj.txt"
+        if rows is not None:
+            traj.write_text(rows)
+        cfg = small_cfg(mode="full", frames=1).with_overrides(trajectories=str(traj))
+        with pytest.raises(ConfigError, match="trajectories"):
+            run_sim(cfg)
 
     def test_trajectory_too_short_is_config_error(self, tmp_path):
         traj = tmp_path / "short.txt"
