@@ -42,7 +42,6 @@ class NonFiniteGradient(Exception):
 class PolicyConfig:
     alpha: float = 0.01  # learning rate
     momentum: float = 0.9  # EMA momentum for the processed-blocks average
-    ema_mode: str = "recursive"  # "recursive" (true EMA) or "literal"
     train_interval: int = 10  # frames between gradient steps
     full_refresh_interval: int = 32  # forced all-ones actions cadence
     p_floor: float = 1e-4  # probability clamp for gradient stability
@@ -50,8 +49,6 @@ class PolicyConfig:
     ig_match_eps: float = 0.5  # ground radius separating novel detections
 
     def __post_init__(self):
-        if self.ema_mode not in ("recursive", "literal"):
-            raise ValueError(f"unknown ema_mode {self.ema_mode!r}")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.alpha <= 0:
@@ -64,7 +61,6 @@ class PolicyParams:
 
     weights: np.ndarray  # (N_FEATURES,), last entry multiplies the bias feature
     avg_processed: float = 1.0  # M, moving average of processed fraction
-    prev_processed: float = 1.0  # previous frame's P (literal EMA mode)
 
     @classmethod
     def initial(cls) -> "PolicyParams":
@@ -284,15 +280,12 @@ def compute_cost(
 ) -> tuple[float, float]:
     """View-level computation cost and the updated processed-blocks average.
 
-    Returns (cost, new M); the caller commits the new average (and the raw
-    processed fraction) back into the params. Signed quadratic: cost is
-    positive while the average runs under the target, negative above it.
+    Returns (cost, new M); the caller commits the new average back into the
+    params. Signed quadratic: cost is positive while the average runs under
+    the target, negative above it.
     """
     p = float(np.mean(actions))
-    if cfg.ema_mode == "recursive":
-        m_new = (1.0 - cfg.momentum) * p + cfg.momentum * params.avg_processed
-    else:
-        m_new = (1.0 - cfg.momentum) * p + cfg.momentum * params.prev_processed
+    m_new = (1.0 - cfg.momentum) * p + cfg.momentum * params.avg_processed
     diff = tau - m_new
     return diff * abs(diff), m_new
 
@@ -414,7 +407,6 @@ class PolicyAgent:
 
         r_ig = information_gain(state, own_detections, gamma_mask, self.grid, self.cfg)
         cost, m_new = compute_cost(actions, self.params, tau, self.cfg)
-        self.params.prev_processed = float(np.mean(actions))
         self.params.avg_processed = m_new
         rewards = reward(actions, r_ig, cost)
 
@@ -448,7 +440,7 @@ class PolicyAgent:
         self.topk_boxes = gamma_boxes
         self.gamma_mask = np.asarray(gamma_mask, dtype=np.uint8)
         return FrameDiagnostics(
-            processed_fraction=self.params.prev_processed,
+            processed_fraction=float(np.mean(actions)),
             avg_processed=self.params.avg_processed,
             cost=cost,
             mean_gain=float(r_ig.mean()),

@@ -182,6 +182,11 @@ _SECTIONS = {
 }
 
 
+# Document value types each scalar field annotation accepts. A bool is an
+# int to Python, so it is rejected separately.
+_SCALARS = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     """The config as a YAML-ready document with the keys in field order:
     nested sections as mappings, cameras as calibration documents."""
@@ -195,12 +200,20 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def _from_doc(cls, doc, where: str):
     """Build config class ``cls`` from its document, recursing into the
     sections in ``_SECTIONS``; ``where`` is the section path, "" at the top.
-    Omitted keys keep their defaults; every bad document is a ConfigError."""
+    Omitted keys keep their defaults, and each scalar value must have its
+    field's annotated type; every bad document is a ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where or 'config'} must be a mapping, got {type(doc).__name__}")
     extra = set(doc) - {f.name for f in fields(cls)}
     if extra:
         raise ConfigError(f"unknown {where or 'config'} keys {sorted(extra)}")
+    for f in fields(cls):
+        if f.type not in _SCALARS or f.name not in doc:
+            continue
+        value = doc[f.name]
+        if isinstance(value, bool) or not isinstance(value, _SCALARS[f.type]):
+            key = f"{where}.{f.name}" if where else f.name
+            raise ConfigError(f"{key} must be {f.type}, got {value!r}")
     kwargs = dict(doc)
     for name, section in _SECTIONS.get(cls, {}).items():
         if name in kwargs:

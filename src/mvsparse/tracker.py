@@ -1,9 +1,11 @@
 """Ground-plane multi-object tracker.
 
-Constant-velocity Kalman filters over (x, y, vx, vy), associated to fused
-detections by IoU of fixed-size squares centered on the ground points. The
-IoU matrix is one numpy broadcast that equals the scalar ``square_iou`` bit
-for bit. Single-owner on the server; strictly sequential per frame.
+Constant-velocity Kalman filters over (x, y, vx, vy). One quantity judges
+closeness: the innovation covariance S = HPH^T + R. A detection may update a
+track only inside the chi-square gate on its squared Mahalanobis distance
+d^2 = nu^T S^-1 nu, the Hungarian cost is the innovation's negative
+log-likelihood d^2 + ln|S|, and the update uses the same S. Single-owner on
+the server; strictly sequential per frame.
 """
 
 from __future__ import annotations
@@ -16,21 +18,18 @@ from .association import match_bipartite
 from .detector import FusedDetection
 from .geometry import GroundPoint
 
+GATE = 9.21  # chi-square quantile, 2 degrees of freedom, 99%
+
+_H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
     process_noise: float = 1.0  # white-acceleration spectral density (m/s^2)^2
-    measurement_noise: float = 0.0025  # position variance (m^2)
+    measurement_noise: float = 0.005  # fused-minus-truth position variance (m^2)
     init_velocity_var: float = 4.0  # velocity variance for new tracks
-    iou_threshold: float = 0.5
-    square_cells: int = 5  # association square side, in ground cells
-    cell_size: float = 0.025  # ground cell side, meters
     max_misses: int = 10
     min_hits: int = 2
-
-    @property
-    def square_side(self) -> float:
-        return self.square_cells * self.cell_size
 
 
 @dataclass
@@ -47,24 +46,33 @@ class Track:
         return GroundPoint(float(self.mean[0]), float(self.mean[1]))
 
 
-def square_iou(a: GroundPoint, b: GroundPoint, side: float) -> float:
-    """IoU of two axis-aligned squares of the given side, centered at a and b."""
-    ix = side - abs(a.x - b.x)
-    iy = side - abs(a.y - b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (2.0 * side * side - inter)
+def innovation_cov(covs: np.ndarray, r: float) -> np.ndarray:
+    """S = H P H^T + R of every (n, 4, 4) covariance, with a 1e-12 jitter
+    that keeps S invertible when R is zero."""
+    return _H @ covs @ _H.T + r * np.eye(2) + 1e-12 * np.eye(2)
 
 
-def square_iou_matrix(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
-    """``square_iou`` of every (n, 2) center in a against every (m, 2) center
-    in b, as one broadcast. It runs the same IEEE operations in the same
-    order, so each entry equals the scalar definition bit for bit."""
-    ix = side - np.abs(a[:, None, 0] - b[None, :, 0])
-    iy = side - np.abs(a[:, None, 1] - b[None, :, 1])
-    inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
-    return inter / (2.0 * side * side - inter)
+def mahalanobis_sq(means: np.ndarray, s_inv: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(n, m) squared Mahalanobis distances nu^T S^-1 nu of every (m, 2)
+    measurement in z from every track, nu = z - H mean."""
+    nu = z[None, :, :] - means[:, None, :2]
+    return np.einsum("nmi,nij,nmj->nm", nu, s_inv, nu)
+
+
+def kalman_update(
+    means: np.ndarray, covs: np.ndarray, s_inv: np.ndarray, z: np.ndarray, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked Kalman update of (k, 4) means and (k, 4, 4) covariances by
+    (k, 2) measurements, given each pair's inverse innovation covariance:
+    K = P H^T S^-1, the Joseph-form covariance, then symmetrisation. Each
+    slice equals the per-track update bit for bit (tests/test_tracker.py)."""
+    R = r * np.eye(2)
+    K = covs @ _H.T @ s_inv
+    nu = z[:, :, None] - _H @ means[:, :, None]
+    means = means + (K @ nu)[:, :, 0]
+    joseph = np.eye(4) - K @ _H
+    covs = joseph @ covs @ joseph.transpose(0, 2, 1) + K @ R @ K.transpose(0, 2, 1)
+    return means, 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
 class GroundTracker:
@@ -72,8 +80,6 @@ class GroundTracker:
 
     Track ids are issued from a per-run counter and never reused.
     """
-
-    _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
@@ -117,52 +123,35 @@ class GroundTracker:
             t.cov = cov
             t.age += 1
 
-    def _kalman_update(self, track: Track, det: FusedDetection) -> None:
-        z = np.array([det.ground.x, det.ground.y])
-        H = self._H
-        R = self.cfg.measurement_noise * np.eye(2)
-        S = H @ track.cov @ H.T + R + 1e-12 * np.eye(2)
-        K = track.cov @ H.T @ np.linalg.inv(S)
-        track.mean = track.mean + K @ (z - H @ track.mean)
-        joseph = np.eye(4) - K @ H
-        track.cov = joseph @ track.cov @ joseph.T + K @ R @ K.T
-        track.cov = 0.5 * (track.cov + track.cov.T)
-        track.hits += 1
-        track.misses = 0
-
     def associate_and_update(self, fused: list[FusedDetection]) -> None:
-        """Match predicted tracks to fused detections and run the update step.
-
-        Matching is Hungarian on (1 - IoU) of the association squares; pairs
-        with IoU at or below the threshold stay unmatched. The tracks x
-        detections IoU matrix is one ``square_iou_matrix`` broadcast, equal
-        bit for bit to ``square_iou`` of every pair. Unmatched detections
-        open new tracks, tracks over the miss budget retire.
-        """
+        """Match predicted tracks to fused detections inside the gate, at
+        least cost d^2 + ln|S| (shifted to be non-negative), and update the
+        matched tracks in one stacked step. Unmatched detections open new
+        tracks, tracks over the miss budget retire."""
         self._frame_count += 1
-        side = self.cfg.square_side
-        matched_tracks: set[int] = set()
-        matched_dets: set[int] = set()
+        r = self.cfg.measurement_noise
+        opened = list(range(len(fused)))
+        for t in self.tracks:
+            t.misses += 1
         if self.tracks and fused:
-            iou = square_iou_matrix(
-                np.array([t.mean[:2] for t in self.tracks]),
-                np.array([(d.ground.x, d.ground.y) for d in fused]),
-                side,
-            )
-            # gate: pairs with IoU at or below the threshold are unmatchable
-            pairs, _, _ = match_bipartite(
-                np.where(iou > self.cfg.iou_threshold, 1.0 - iou, 2.0), 1.0
-            )
-            for r, c in pairs:
-                self._kalman_update(self.tracks[r], fused[c])
-                matched_tracks.add(r)
-                matched_dets.add(c)
-        for i, t in enumerate(self.tracks):
-            if i not in matched_tracks:
-                t.misses += 1
-        for j, det in enumerate(fused):
-            if j not in matched_dets:
-                self.tracks.append(self._new_track(det))
+            means = np.array([t.mean for t in self.tracks])
+            covs = np.array([t.cov for t in self.tracks])
+            z = np.array([(d.ground.x, d.ground.y) for d in fused])
+            S = innovation_cov(covs, r)
+            s_inv = np.linalg.inv(S)
+            d2 = mahalanobis_sq(means, s_inv, z)
+            log_det = np.linalg.slogdet(S)[1]
+            eps = GATE + np.ptp(log_det) + 1.0  # above every in-gate cost, after rounding too
+            cost = np.where(d2 < GATE, d2 + (log_det - log_det.min())[:, None], eps)
+            pairs, _, opened = match_bipartite(cost, eps)
+            rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+            updated = kalman_update(means[rows], covs[rows], s_inv[rows], z[cols], r)
+            for i, mean, cov in zip(rows.tolist(), *updated):
+                track = self.tracks[i]
+                track.mean, track.cov = mean, cov
+                track.hits += 1
+                track.misses = 0
+        self.tracks.extend(self._new_track(fused[j]) for j in opened)
         self.tracks = [t for t in self.tracks if t.misses <= self.cfg.max_misses]
 
     def reported(self) -> list[Track]:

