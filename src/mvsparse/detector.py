@@ -84,9 +84,7 @@ class ViewState:
 
     camera: CameraModel
     grid: BlockGrid
-    # the run seed's detector streams; its generator is re-seeded per
-    # stream, so it carries nothing from one frame to the next
-    streams: rngmod.SeedStreams
+    seed: int  # the run seed, which keys the detector's draws
     last_refresh: np.ndarray  # (rows, cols) int, -1 = never processed
     # person id -> (capture frame, the fresh detection emitted then)
     stale_detections: dict[int, tuple[int, Detection]]
@@ -96,7 +94,7 @@ class ViewState:
         return cls(
             camera,
             grid,
-            rngmod.SeedStreams(seed),
+            seed,
             np.full(grid.shape, -1, dtype=np.int64),
             {},
         )
@@ -118,12 +116,12 @@ def simulate_view_detections(
 ) -> tuple[DetectionSet, ViewState]:
     """Run one frame of the simulated detector under the given block actions.
 
-    Returns the emitted detections and the successor view state. Random
-    draws come from per-(frame, person) streams, so emitted boxes for a
-    given identity do not depend on what happens to other blocks or objects.
-    Block tests read a summed-area table of the fresh blocks, the entity
-    streams are seeded together, and the fresh boxes share one stacked
-    ground solve.
+    Returns the emitted detections and the successor view state. Each
+    fresh walker's miss and edge jitter come from its row of one
+    ``rng.uniforms`` call keyed by (camera, frame) and person id, so emitted
+    boxes for a given identity do not depend on what happens to other
+    blocks or objects. Block tests read a summed-area table of the fresh
+    blocks, and the fresh boxes share one stacked ground solve.
     """
     actions = np.asarray(actions)
     if actions.shape != vs.grid.shape:
@@ -155,13 +153,14 @@ def simulate_view_detections(
         cells = block_range(grid, box)
         (picked if cells is not None and touches_fresh(cells) else waiting).append(i)
 
-    # fresh boxes: missed or jittered and clamped, then grounded together
+    # fresh boxes: missed or jittered and clamped, then grounded together;
+    # a walker's column 0 decides the miss, columns 1-4 give the edge jitter
+    u = rngmod.uniforms(
+        vs.seed, (rngmod.DETECT, cam.camera_id, frame_id), [entries[i][0] for i in picked], 5
+    )
+    jitter = (rngmod.normals(u[:, 1:]) * cfg.sigma_px).tolist()
     noisy: list[tuple[int, BBox]] = []
-    key = (rngmod.DETECT, cam.camera_id, frame_id)
-    for i, erng in zip(picked, vs.streams.each(key, [entries[i][0] for i in picked])):
-        # random() is uniform() on [0, 1): the same double from the same draw
-        missed = erng.random() < cfg.p_miss
-        n0, n1, n2, n3 = (erng.normal(0.0, 1.0, size=4) * cfg.sigma_px).tolist()
+    for i, missed, (n0, n1, n2, n3) in zip(picked, (u[:, 0] < cfg.p_miss).tolist(), jitter):
         if missed:
             continue
         box = entries[i][1]
@@ -204,7 +203,7 @@ def simulate_view_detections(
     detections = [emitted.get(i) or replays[i] for i in sorted(emitted.keys() | replays.keys())]
 
     if cfg.fp_rate > 0 and fresh.any():
-        frng = rngmod.substream(vs.streams.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
+        frng = rngmod.substream(vs.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
         n_false = frng.poisson(cfg.fp_rate)
         if n_false:
             fresh_blocks = np.argwhere(fresh)
@@ -224,7 +223,7 @@ def simulate_view_detections(
                 score = float(frng.uniform(0.2, 0.7))
                 detections.append(Detection(cam.camera_id, box, ground, score, stale=False))
 
-    new_state = ViewState(cam, vs.grid, vs.streams, last_refresh, stale)
+    new_state = ViewState(cam, vs.grid, vs.seed, last_refresh, stale)
     return DetectionSet(cam.camera_id, frame_id, tuple(detections)), new_state
 
 

@@ -1,24 +1,28 @@
-"""Deterministic named RNG streams.
+"""Deterministic keyed random draws.
 
-Every random draw in the pipeline comes from a stream derived from the run
-seed plus a structural key (component tag, camera, frame, entity). Streams
-are independent of iteration order, which is what makes single-process and
-distributed runs bit-identical and lets privileged evaluation passes replay
-the exact draws of the committed pass.
+Every random draw in the pipeline is keyed by the run seed plus a
+structural key (component tag, camera, frame, entity). Draws do not depend
+on iteration order, which is what makes single-process and distributed runs
+bit-identical and lets privileged evaluation passes replay the exact draws
+of the committed pass.
 
-``substream`` builds a stream from its whole key: one numpy ``SeedSequence``
-hash and one ``PCG64`` per call. It serves the scene, the policies and the
-detector's false positives, one stream per run, camera or camera-frame.
-``SeedStreams`` serves the detector's per-walker streams, many per
-camera-frame whose keys share the (tag, camera, frame) prefix: it keeps the
-seed's hashed pool, mixes the prefix in once per camera-frame and the
-walker ids of the frame together, and re-seeds one reused ``PCG64`` per
-walker. Its streams equal ``substream``'s draw for draw (tests/test_rng.py).
+``substream`` builds a numpy ``Generator`` from its whole key. It serves the
+scene, the policies and the detector's false positives, which need Poisson
+and integer draws from one stream per run, camera or camera-frame.
+
+``uniforms`` serves the detector's per-walker noise, a few doubles for each
+of many entity ids under one key. It is counter-based (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11): the seed and key
+fold into one 64-bit word, and every (id, column) pair is hashed with the
+SplitMix64 finalizer (Steele, Lea and Flood, "Fast splittable pseudorandom
+number generators", OOPSLA'14). An id's row is thus a function of (seed,
+key, id) alone, whatever other ids are asked for. ``normals`` turns pairs
+of uniform columns into standard normals by Box-Muller.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,114 +39,48 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2**64 over the golden ratio
 
 
-def _n_words(n: int) -> int:
-    """How many 32-bit words SeedSequence takes from one integer."""
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    return max(1, -(-n.bit_length() // 32))
+def _mix(x):
+    """SplitMix64's finalizer of a Python int below 2**64 or a uint64 array."""
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+    return x ^ x >> 31
 
 
-def _mix_words(pool: list[int], hc: int, key) -> tuple[list[int], int]:
-    """A copy of the pool with the words of each key integer mixed in, and
-    the hash constant after: SeedSequence's treatment of entropy words past
-    its pool, mix(pool[i], hashmix(word)) for each word and pool word i."""
-    pool = list(pool)
-    for k in key:
+def _fold(seed: int, key: Sequence[int]) -> int:
+    """One 64-bit word from the seed and key integers of any size: each
+    integer's 64-bit word count, then its words, low first."""
+    h = 0
+    for k in (seed, *key):
         k = int(k)
-        for j in range(_n_words(k)):
-            word = k >> 32 * j & _MASK32
-            for i in range(_POOL_SIZE):
-                hashed = word ^ hc
-                hc = hc * _MULT_A & _MASK32
-                hashed = hashed * hc & _MASK32
-                hashed ^= hashed >> 16
-                mixed = (_MIX_L * pool[i] - _MIX_R * hashed) & _MASK32
-                pool[i] = mixed ^ (mixed >> 16)
-    return pool, hc
+        if k < 0:
+            raise ValueError(f"expected a non-negative integer, got {k}")
+        n = max(1, -(-k.bit_length() // 64))
+        for w in (n, *(k >> 64 * j & _MASK64 for j in range(n))):
+            h = _mix((h ^ w) + _GAMMA & _MASK64)
+    return h
 
 
-def _constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init, init * mult, init * mult**2, ... (mod 2**32): a (count, 1) uint32 column."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
+def uniforms(seed: int, key: Sequence[int], ids: Sequence[int], n: int) -> np.ndarray:
+    """(len(ids), n) doubles in [0, 1); row i depends on (seed, *key, ids[i])
+    alone. Ids are Python ints in [0, 2**64). Row i holds the top 53 bits of
+    the first n outputs of a SplitMix64 sequence seeded with the hashed id
+    and key word."""
+    try:
+        ids = np.array(ids, dtype=np.uint64)
+    except OverflowError as exc:
+        raise ValueError(f"entity ids must lie in [0, 2**64): {exc}") from exc
+    rows = _mix(ids ^ _fold(seed, key))
+    bits = _mix(rows[:, None] + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA)
+    return (bits >> 11) * 2.0**-53
 
 
-# generate_state hashes pool words 0, 1, 2, 3, 0, 1, 2, 3, the i-th xored
-# with constant i of this sequence and multiplied by constant i + 1
-_STATE_ROWS = np.arange(8) % _POOL_SIZE
-_STATE_CONSTS = _constants(_INIT_B, _MULT_B, 9)
-
-
-class SeedStreams:
-    """``substream(seed, *key)`` for the many keys of one seed, cheaply.
-
-    numpy's SeedSequence hashes the seed into a four-word pool, then mixes
-    in the key words one by one, and PCG64 seeds from eight hashed pool
-    words. This object keeps the seed's pool; ``each`` mixes in a shared
-    key prefix once and the last key words of many entities at once, in
-    uint32 arrays, then re-seeds one reused PCG64 per entity instead of
-    building a SeedSequence and a PCG64 per key. Every key it serves
-    holds at least the entity word, so SeedSequence pads the seed to the
-    full pool as this object assumes.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._pool = [int(w) for w in np.random.SeedSequence(entropy=seed).pool]
-        # hashmix calls so far: one per pool word, one per ordered pair of
-        # pool words, then one per pool word for every seed word past the pool
-        calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, _n_words(seed) - _POOL_SIZE)
-        self._hash_const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
-        self._bitgen = np.random.PCG64(0)  # re-seeded before every use
-        self._gen = np.random.Generator(self._bitgen)
-
-    def each(self, prefix: tuple[int, ...], entities: list[int]) -> Iterator[np.random.Generator]:
-        """The generator of ``substream(seed, *prefix, entity)`` for each
-        entity in turn, on the shared PCG64: take one entity's draws before
-        asking for the next."""
-        if not entities:
-            return
-        pool, hc = _mix_words(self._pool, self._hash_const, prefix)
-        ints = [int(e) for e in entities]
-        counts = [_n_words(e) for e in ints]
-        consts = _constants(hc, _MULT_A, 4 * max(counts) + 1)
-        pool = np.array(pool, dtype=np.uint32)[:, None]
-        for k in range(max(counts)):
-            # _mix_words on the k-th word of every entity at once
-            word = np.array([e >> 32 * k & _MASK32 for e in ints], dtype=np.uint32)
-            hashed = (word ^ consts[4 * k : 4 * k + 4]) * consts[4 * k + 1 : 4 * k + 5]
-            hashed ^= hashed >> 16
-            mixed = _MIX_L * pool - _MIX_R * hashed
-            mixed ^= mixed >> 16
-            # every entity has a word 0, only the larger ids more
-            pool = mixed if k == 0 else np.where(np.array(counts) > k, mixed, pool)
-        # generate_state(4, uint64): eight hashed pool words, paired
-        # little-endian into PCG64's seed and increment halves
-        words = (pool[_STATE_ROWS] ^ _STATE_CONSTS[:8]) * _STATE_CONSTS[1:]
-        words ^= words >> 16
-        pairs = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()
-        for seed_hi, seed_lo, inc_hi, inc_lo in pairs:
-            # PCG64's seeding: inc = 2 * initseq + 1, then two LCG steps
-            # around adding the initial state
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128
-            self._bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield self._gen
+def normals(u: np.ndarray) -> np.ndarray:
+    """Box-Muller: standard normals from an (m, 2k) array of uniforms in
+    [0, 1), each column pair (radius, angle) giving two normals in place."""
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    theta = 2.0 * np.pi * u[:, 1::2]
+    return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=2).reshape(u.shape)

@@ -268,8 +268,8 @@ def load_trajectories(
     """Read line-oriented ``frame_id person_id x y`` records.
 
     Returns frames sorted by frame_id. Blank lines and '#' comments are
-    skipped. Malformed lines and negative ids raise ParseError, duplicate
-    (frame_id, person_id) pairs DuplicateIdentity.
+    skipped. Malformed lines, negative ids and person ids of 2**64 or more
+    raise ParseError, duplicate (frame_id, person_id) pairs DuplicateIdentity.
     """
     frames: dict[int, list[Pedestrian]] = {}
     seen: set[tuple[int, int]] = set()
@@ -288,8 +288,11 @@ def load_trajectories(
                 y = float(parts[3])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if frame_id < 0 or person_id < 0:
-                raise ParseError(f"{path}: line {lineno}: frame and person ids must be >= 0")
+            # the detector keys its draws by person id as one 64-bit word
+            if frame_id < 0 or not 0 <= person_id < 2**64:
+                raise ParseError(
+                    f"{path}: line {lineno}: frame ids must be >= 0, person ids in [0, 2**64)"
+                )
             key = (frame_id, person_id)
             if key in seen:
                 raise DuplicateIdentity(

@@ -109,8 +109,8 @@ def test_negative_seed_exits_with_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "rows",
-    ["0 0 5.0\n", "0 -1 5.0 6.0\n", None],
-    ids=["three-fields", "negative-person", "missing-file"],
+    ["0 0 5.0\n", "0 -1 5.0 6.0\n", f"0 {2**64} 5.0 6.0\n", None],
+    ids=["three-fields", "negative-person", "person-past-64-bits", "missing-file"],
 )
 def test_bad_trajectory_file_exits_with_config_error(tmp_path, capsys, rows):
     traj = tmp_path / "traj.txt"

@@ -17,7 +17,8 @@ from mvsparse.detector import (
 )
 from mvsparse.association import Cluster
 from mvsparse.geometry import BBox, BlockGrid, GroundPoint, blocks_for_bbox, camera_from_pose
-from mvsparse.scene import Pedestrian, SceneFrame, ground_truth_view
+from mvsparse.scene import GtView, Pedestrian, SceneFrame, ground_truth_view
+from test_rng import reference_uniforms
 
 PERFECT = DetectorConfig(sigma_px=0.0, p_miss=0.0, fp_rate=0.0, min_box_height_px=0.0)
 
@@ -183,6 +184,24 @@ class TestSimulateViewDetections:
             block = (int(cy // 128), int(cx // 128))
             assert actions[block] == 1
 
+    def test_noise_model_matches_the_config(self):
+        # 4000 fresh draws of one box well inside the image: the miss rate is
+        # p_miss and each edge moves by a normal of std sigma_px
+        cam = make_cam()
+        grid = BlockGrid.for_image(1152, 640, 128)
+        cfg = DetectorConfig(fp_rate=0.0)
+        box = gt_for(SceneFrame(0, (walker(0, 4.0, 4.0),), 0.0), cam).entries[0][1]
+        assert box.x > 50 and box.y > 50 and box.x + box.w < 1100 and box.y + box.h < 590
+        gt = GtView(cam.camera_id, tuple((pid, box, 1.0) for pid in range(1000)))
+        vs = ViewState.initial(cam, grid, seed=3)
+        lefts = []
+        for t in range(4):
+            dets, vs = simulate_view_detections(vs, np.ones(grid.shape), gt, t, cfg)
+            lefts += [d.bbox.x - box.x for d in dets]
+        assert abs(1.0 - len(lefts) / 4000 - cfg.p_miss) < 0.01
+        assert abs(np.mean(lefts)) < 0.1 * cfg.sigma_px
+        assert abs(np.std(lefts) / cfg.sigma_px - 1.0) < 0.05
+
     def test_dimension_mismatch(self):
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
@@ -237,9 +256,9 @@ def _reference_ground(cam, box):
 
 
 def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
-    """The detector one entity at a time: a ``substream`` per fresh walker,
-    cell sets for the block tests and a ground solve per detection. The
-    array detector must give the same detections and state."""
+    """The detector one entity at a time: the scalar reference draws per
+    fresh walker, cell sets for the block tests and a ground solve per
+    detection. The array detector must give the same detections and state."""
     cam = vs.camera
     fresh = np.asarray(actions).astype(bool)
     last_refresh = vs.last_refresh.copy()
@@ -253,9 +272,9 @@ def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
         if visibility < cfg.v_min or box.h < cfg.min_box_height_px:
             continue
         if any(fresh[b] for b in blocks_for_bbox(vs.grid, box)):
-            erng = rngmod.substream(vs.streams.seed, rngmod.DETECT, cam.camera_id, frame_id, pid)
-            missed = erng.uniform() < cfg.p_miss
-            noise = erng.normal(0.0, 1.0, size=4) * cfg.sigma_px
+            u = reference_uniforms(vs.seed, (rngmod.DETECT, cam.camera_id, frame_id), pid, 5)
+            missed = u[0] < cfg.p_miss
+            noise = rngmod.normals(np.array([u[1:]]))[0] * cfg.sigma_px
             if missed:
                 continue
             noisy = BBox(
@@ -277,7 +296,7 @@ def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
     if cfg.fp_rate > 0:
         fresh_blocks = np.argwhere(fresh)
         if len(fresh_blocks):
-            frng = rngmod.substream(vs.streams.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
+            frng = rngmod.substream(vs.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
             for _ in range(frng.poisson(cfg.fp_rate)):
                 r, c = fresh_blocks[frng.integers(len(fresh_blocks))]
                 x0, y0, x1, y1 = vs.grid.block_extent(int(r), int(c))
@@ -293,7 +312,7 @@ def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
                     continue
                 score = float(frng.uniform(0.2, 0.7))
                 detections.append(Detection(cam.camera_id, box, ground, score, stale=False))
-    new_state = ViewState(cam, vs.grid, vs.streams, last_refresh, stale)
+    new_state = ViewState(cam, vs.grid, vs.seed, last_refresh, stale)
     return DetectionSet(cam.camera_id, frame_id, tuple(detections)), new_state
 
 

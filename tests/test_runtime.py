@@ -20,7 +20,8 @@ from mvsparse.runtime.config import (
 )
 from mvsparse.runtime.report import compare_table, dumps_report, load_report, write_report
 from mvsparse.runtime.simulation import CameraRuntime, SceneSource, ServerEngine, run_sim
-from mvsparse.scene import Pedestrian, SceneFrame, project_pedestrian_box
+from mvsparse.metrics import oracle_select
+from mvsparse.scene import Pedestrian, SceneFrame, ground_truth_view, project_pedestrian_box
 from mvsparse.detector import DetectorConfig
 from mvsparse.geometry import GroundPoint
 
@@ -164,11 +165,11 @@ class TestRunSimDeterminism:
     # speedup must leave these unchanged; a change that is meant to move
     # the scores re-pins them and says why.
     PINNED_DIGESTS = {
-        "full": "b03f6e64a344cefa683fbe300616b8a052a829a626e5c42f867a8cf93a049b08",
-        "mvsparse": "fe5ca65d5ea22d796e01f9de727fc5871bc72b7d9a2a2527ef7a3e1a8aaf3b5b",
-        "blockcopy": "b9de095a2df12cd77d12dfee14819c036b9fcb73b62dc2f04afb559ad4755c6b",
-        "static_mask": "6d7a63853e1f65c56eefdb4c991613882a576b817ae50eaee32bd62eae02f254",
-        "oracle": "6945a5036b4b5700e217d720ae6cfed7591b4a97fa0926c55e4d938288711bbe",
+        "full": "9464fb707c98fa930bac24da9eb24ab31b1dfecc10d74fddb51201e0beeed096",
+        "mvsparse": "9139bc1fe6e87ba7fc7322d486867ecf8047da2960918cde1901e9bfeea35e09",
+        "blockcopy": "671592a287ae97a6df276f258eb88049ed0f0daf2d2c5978826da158eb479ee6",
+        "static_mask": "6aac8f24d9e796a714cb388a588c0b01baca199f70b93eff80bfc1825ac969f7",
+        "oracle": "d5a0e59f34c9c30ef6bb795889f253eed1d14f32c6765e2cd38286a554e30f24",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
@@ -287,8 +288,22 @@ class TestModes:
 
     @pytest.mark.parametrize(
         "rows",
-        ["0 0 5.0\n", "0 -1 5.0 6.0\n", "-1 0 5.0 6.0\n", "0 0 5.0 6.0\n0 0 5.5 6.0\n", None],
-        ids=["three-fields", "negative-person", "negative-frame", "duplicate-identity", "missing-file"],
+        [
+            "0 0 5.0\n",
+            "0 -1 5.0 6.0\n",
+            f"0 {2**64} 5.0 6.0\n",
+            "-1 0 5.0 6.0\n",
+            "0 0 5.0 6.0\n0 0 5.5 6.0\n",
+            None,
+        ],
+        ids=[
+            "three-fields",
+            "negative-person",
+            "person-past-64-bits",
+            "negative-frame",
+            "duplicate-identity",
+            "missing-file",
+        ],
     )
     def test_bad_trajectory_file_is_config_error(self, tmp_path, rows):
         traj = tmp_path / "traj.txt"
@@ -321,6 +336,43 @@ class TestCameraRuntime:
                 rt.end_frame(t, feedbacks[rt.camera.camera_id])
                 refreshed = {f for f in rt.view_state.last_refresh.flat if f >= 0}
                 assert set(rt.agent.detection_history) == refreshed | {t}
+
+
+    @pytest.mark.parametrize(
+        "fp_rate", [DetectorConfig().fp_rate, 0.0], ids=["default", "no-false-positives"]
+    )
+    def test_candidate_pass_replays_the_committed_draws(self, fp_rate):
+        # oracle mode has no agent, so the committed passes alone carry the
+        # camera state from frame to frame
+        cfg = small_cfg(mode="oracle", frames=15)
+        cfg = cfg.with_overrides(detector=DetectorConfig(fp_rate=fp_rate))
+        source = SceneSource(cfg)
+        runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
+        ones = np.ones(cfg.grid.shape, dtype=np.uint8)
+        for t in range(cfg.frames):
+            scene = source.frame(t)
+            gts = {rt.camera.camera_id: ground_truth_view(scene, rt.camera) for rt in runtimes}
+            candidates = {}
+            for rt in runtimes:
+                cam_id = rt.camera.camera_id
+                candidates[cam_id] = rt.candidate_detections(gts[cam_id], t).detections
+                before = rt.view_state
+                assert rt.begin_frame(scene, t, ones, gts[cam_id]).detections == candidates[cam_id]
+                rt.view_state = before
+            masks = oracle_select(
+                [p for _, p in scene.ground_points()],
+                {cam_id: list(dets) for cam_id, dets in candidates.items()},
+                cfg.k_views,
+                cfg.grid,
+                cfg.match_radius,
+            )
+            for rt in runtimes:
+                cam_id = rt.camera.camera_id
+                committed = rt.begin_frame(scene, t, masks[cam_id], gts[cam_id]).detections
+                # false positives land in the mask's own blocks, so only
+                # without them is every fresh detection a candidate
+                if fp_rate == 0.0:
+                    assert all(d in candidates[cam_id] for d in committed if not d.stale)
 
 
 class TestSceneSource:
