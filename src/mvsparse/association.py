@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detector import Detection, DetectionSet
+from .detector import Detection
 from .geometry import BlockGrid, GroundPoint, bbox_block_mask, gated_distances
 
 
@@ -85,21 +85,21 @@ def match_bipartite(
     return pairs, unmatched_rows, unmatched_cols
 
 
-def cluster_detections(views: list[DetectionSet], eps: float) -> list[Cluster]:
-    """Greedy cross-camera clustering.
+def cluster_detections(views: list[tuple[Detection, ...]], eps: float) -> list[Cluster]:
+    """Greedy cross-camera clustering of one frame's views.
 
-    Clusters start from the first view's detections; each subsequent view is
-    bipartite-matched (ground distance, gated at eps) against the centers of
-    the clusters formed so far. Matched detections join their cluster,
-    unmatched ones open new singletons. Iteration order is fixed by
-    camera_id, so results are deterministic.
+    ``views`` holds each camera's detections of the frame, in camera_id
+    order; the caller orders them, because an empty view carries no id (the
+    server passes ``RunConfig.camera_ids`` order). Clusters start from the first view's
+    detections; each subsequent view is bipartite-matched (ground distance,
+    gated at eps) against the centers of the clusters formed so far.
+    Matched detections join their cluster, unmatched ones open new
+    singletons. The result is a pure function of the views in that order.
     """
-    views = sorted(views, key=lambda v: v.camera_id)
     if not views:
         return []
     clusters = [Cluster([d]) for d in views[0]]
-    for view in views[1:]:
-        dets = list(view)
+    for dets in views[1:]:
         cost = gated_distances([cl.center for cl in clusters], [d.ground for d in dets], eps)
         pairs, _, unmatched = match_bipartite(cost, eps)
         for ci, di in pairs:

@@ -19,11 +19,9 @@ from .geometry import (
     BBox,
     BlockGrid,
     CameraModel,
-    GeometryError,
     GroundPoint,
     block_range,
     image_to_ground,
-    project_image_to_ground,
 )
 from .scene import GtView
 
@@ -54,31 +52,6 @@ class Detection:
 
 
 @dataclass(frozen=True)
-class DetectionSet:
-    camera_id: int
-    frame_id: int
-    detections: tuple[Detection, ...]
-
-    def __len__(self) -> int:
-        return len(self.detections)
-
-    def __iter__(self):
-        return iter(self.detections)
-
-    def __getitem__(self, idx: int) -> Detection:
-        return self.detections[idx]
-
-
-@dataclass(frozen=True)
-class FusedDetection:
-    """Server-side ground-plane detection merged from one identity cluster."""
-
-    ground: GroundPoint
-    score: float
-    cameras: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ViewState:
     """Per-camera detector memory (single-owner, replaced each frame)."""
 
@@ -100,20 +73,13 @@ class ViewState:
         )
 
 
-def _ground_of(cam: CameraModel, box: BBox) -> GroundPoint | None:
-    try:
-        return project_image_to_ground(cam, box.foot)
-    except GeometryError:
-        return None
-
-
 def simulate_view_detections(
     vs: ViewState,
     actions: np.ndarray,
     gt: GtView,
     frame_id: int,
     cfg: DetectorConfig,
-) -> tuple[DetectionSet, ViewState]:
+) -> tuple[tuple[Detection, ...], ViewState]:
     """Run one frame of the simulated detector under the given block actions.
 
     Returns the emitted detections and the successor view state. Each
@@ -217,27 +183,19 @@ def simulate_view_detections(
                 box = BBox(cx - w / 2.0, cy - h / 2.0, w, h).clamped(cam.width, cam.height)
                 if box is None:
                     continue
-                ground = _ground_of(cam, box)
-                if ground is None:
+                foot = box.foot
+                hits, s = image_to_ground(cam, [(foot.u, foot.v)])
+                if not s[0] > 0:  # the foot ray misses the ground
                     continue
                 score = float(frng.uniform(0.2, 0.7))
+                ground = GroundPoint(*hits[0].tolist())
                 detections.append(Detection(cam.camera_id, box, ground, score, stale=False))
 
     new_state = ViewState(cam, vs.grid, vs.seed, last_refresh, stale)
-    return DetectionSet(cam.camera_id, frame_id, tuple(detections)), new_state
+    return tuple(detections), new_state
 
 
-def fuse_ground_plane(clusters: list["Cluster"]) -> list[FusedDetection]:
-    """One fused ground-plane detection per identity cluster.
-
-    The fused point is the arithmetic mean of member ground points; the
-    score is the best member score.
-    """
-    return [
-        FusedDetection(
-            cluster.center,
-            max(d.score for d in cluster.members),
-            tuple(sorted(d.camera_id for d in cluster.members)),
-        )
-        for cluster in clusters
-    ]
+def fuse_ground_plane(clusters: list["Cluster"]) -> list[GroundPoint]:
+    """One fused ground point per identity cluster, in cluster order: the
+    arithmetic mean of the members' ground points."""
+    return [cluster.center for cluster in clusters]

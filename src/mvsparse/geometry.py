@@ -29,10 +29,6 @@ class BehindCamera(GeometryError):
     """Point (or plane intersection) lies at non-positive camera depth."""
 
 
-class RayParallelToGround(GeometryError):
-    """Pixel ray never meets the z=0 plane."""
-
-
 @dataclass(frozen=True)
 class GroundPoint:
     """Point on the z=0 world plane, meters."""
@@ -103,13 +99,6 @@ class BBox:
         x1 = min(width, math.ceil(self.x + self.w))
         y1 = min(height, math.ceil(self.y + self.h))
         return x0, y0, x1, y1
-
-    def intersection_area(self, other: "BBox") -> float:
-        ix = min(self.x + self.w, other.x + other.w) - max(self.x, other.x)
-        iy = min(self.y + self.h, other.y + other.h) - max(self.y, other.y)
-        if ix <= 0 or iy <= 0:
-            return 0.0
-        return ix * iy
 
     def clamped(self, width: int, height: int) -> "BBox | None":
         """Intersection with the image rectangle, or None if disjoint."""
@@ -212,11 +201,6 @@ def project_world_point(cam: CameraModel, point_w: np.ndarray) -> ImagePoint:
     return project_camera_point(cam, cam.world_to_camera(point_w))
 
 
-def project_ground_to_image(cam: CameraModel, p: GroundPoint) -> ImagePoint:
-    """Pinhole projection of the ground point (p.x, p.y, 0)."""
-    return project_world_point(cam, np.array([p.x, p.y, 0.0]))
-
-
 def image_to_ground(cam: CameraModel, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intersect the rays of (n, 2) pixels with the z=0 plane in one pass.
 
@@ -239,20 +223,6 @@ def image_to_ground(cam: CameraModel, uv: np.ndarray) -> tuple[np.ndarray, np.nd
     s = -origin[2] / np.where(parallel, 1.0, dz)
     s[parallel] = np.nan
     return origin[:2] + s[:, None] * d_world[:, :2], s
-
-
-def project_image_to_ground(cam: CameraModel, q: ImagePoint) -> GroundPoint:
-    """Intersect the pixel ray with the z=0 plane (the Pi_g mapping).
-
-    Raises RayParallelToGround when the ray never meets the plane and
-    BehindCamera when the intersection lies behind the camera.
-    """
-    hits, s = image_to_ground(cam, np.array([[q.u, q.v]]))
-    if np.isnan(s[0]):
-        raise RayParallelToGround(f"camera {cam.camera_id}: ray through ({q.u}, {q.v}) is horizontal")
-    if s[0] <= 0:
-        raise BehindCamera(f"camera {cam.camera_id}: ground intersection behind camera (s={s[0]:.3f})")
-    return GroundPoint(hits[0, 0], hits[0, 1])
 
 
 @dataclass(frozen=True)
@@ -315,15 +285,6 @@ def block_range(grid: BlockGrid, box: BBox) -> tuple[int, int, int, int] | None:
     if r1 < r0 or c1 < c0:
         return None
     return r0, r1, c0, c1
-
-
-def blocks_for_bbox(grid: BlockGrid, box: BBox) -> set[tuple[int, int]]:
-    """Grid cells whose pixel extent intersects the box (clamped to the image)."""
-    cells = block_range(grid, box)
-    if cells is None:
-        return set()
-    r0, r1, c0, c1 = cells
-    return {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)}
 
 
 def bbox_block_mask(grid: BlockGrid, boxes: list[BBox]) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .detector import DetectionSet, DimensionMismatch
+from .detector import Detection, DimensionMismatch
 from .geometry import BBox, BlockGrid, GroundPoint
 from .scene import BACKGROUND, ViewPaint
 
@@ -53,6 +53,8 @@ class PolicyConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.train_interval < 1:
+            raise ValueError("train_interval must be >= 1")
 
 
 @dataclass
@@ -91,7 +93,6 @@ class BlockActions:
 @dataclass(frozen=True)
 class WindowSample:
     features: np.ndarray  # (n_blocks, N_FEATURES)
-    probs: np.ndarray  # (n_blocks,)
     actions: np.ndarray  # (n_blocks,)
     rewards: np.ndarray  # (n_blocks,)
 
@@ -223,7 +224,7 @@ def sample_actions(
 
 def information_gain(
     state: PolicyState,
-    current: DetectionSet,
+    current: tuple[Detection, ...],
     gamma_mask: np.ndarray,
     grid: BlockGrid,
     cfg: PolicyConfig,
@@ -243,8 +244,7 @@ def information_gain(
     if not gamma_mask.any():
         return out
 
-    dets = list(current)
-    det_spans = _box_spans([d.bbox for d in dets], grid)
+    det_spans = _box_spans([d.bbox for d in current], grid)
     cells = _Cells(grid, _frame_spans(state) + det_spans)
     moving_in_dets = cells.moving(state, cfg.motion_threshold) & cells.covered(det_spans)
 
@@ -255,7 +255,7 @@ def information_gain(
         refs = state.detection_history.get(ref, ())
         novel = [
             span
-            for span, d in zip(det_spans, dets)
+            for span, d in zip(det_spans, current)
             if all(d.ground.distance_to(g) > cfg.ig_match_eps for g in refs)
         ]
         gain = cells.block_counts(moving_in_dets | cells.covered(novel)) / counts
@@ -297,16 +297,6 @@ def reward(actions: np.ndarray, r_ig: np.ndarray, cost: float) -> np.ndarray:
         raise DimensionMismatch("actions and gain grids differ in shape")
     signed = np.where(actions != 0, 1.0, -1.0)
     return signed * (r_ig + cost)
-
-
-def window_loss(weights: np.ndarray, window: list[WindowSample], p_floor: float = 1e-4) -> float:
-    """Negative reward-weighted log-likelihood of the sampled actions."""
-    total = 0.0
-    for s in window:
-        psi = np.clip(expit(s.features @ weights), p_floor, 1.0 - p_floor)
-        logp = s.actions * np.log(psi) + (1 - s.actions) * np.log(1.0 - psi)
-        total -= float(np.sum(s.rewards * logp))
-    return total
 
 
 def _loss_gradient(weights: np.ndarray, window: list[WindowSample], p_floor: float) -> np.ndarray:
@@ -389,20 +379,20 @@ class PolicyAgent:
         interval = self.cfg.full_refresh_interval
         forced = frame_id == 0 or (interval > 0 and frame_id % interval == 0)
         actions = sample_actions(psi, self.rng, force_full=forced)
-        self._pending = (state, features, psi, actions, forced)
+        self._pending = (state, features, actions, forced)
         return BlockActions(psi, actions)
 
     def finish_frame(
         self,
         frame_id: int,
-        own_detections: DetectionSet,
+        own_detections: tuple[Detection, ...],
         gamma_boxes: tuple[BBox, ...],
         gamma_mask: np.ndarray,
         tau: float,
     ) -> FrameDiagnostics:
         if self._pending is None:
             raise RuntimeError("finish_frame called without a pending act")
-        state, features, psi, actions, forced = self._pending
+        state, features, actions, forced = self._pending
         self._pending = None
 
         r_ig = information_gain(state, own_detections, gamma_mask, self.grid, self.cfg)
@@ -416,7 +406,6 @@ class PolicyAgent:
             self.window.append(
                 WindowSample(
                     features,
-                    psi.reshape(n).copy(),
                     actions.reshape(n).astype(float),
                     rewards.reshape(n).copy(),
                 )

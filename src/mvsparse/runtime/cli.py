@@ -14,8 +14,8 @@ import logging
 import sys
 
 from .config import MODES, ConfigError, RunConfig, load_config, save_config
-from .distributed import ConnectionLost, FrameTimeout, run_camera_node, run_server
-from .report import compare_table, load_report, write_report
+from .distributed import ConnectionLost, run_camera_node, run_server
+from .report import compare_table, fmt, load_report, write_report
 from .simulation import run_sim
 
 EXIT_OK = 0
@@ -69,10 +69,6 @@ def _load(args) -> RunConfig:
 def _summarize(report: dict) -> str:
     s = report.get("scores", {})
     r = report.get("resources", {})
-
-    def fmt(v):
-        return "n/a" if v is None else (f"{v:.4f}" if isinstance(v, float) else str(v))
-
     lines = [
         f"mode={report.get('mode')} seed={report.get('seed')} "
         f"frames={report.get('completed_frames')}/{report.get('frames')} "
@@ -105,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _load(args)
             try:
                 report = run_server(cfg, port=args.port)
-            except (ConnectionLost, FrameTimeout) as exc:
+            except ConnectionLost as exc:
                 partial = getattr(exc, "partial_report", None)
                 if partial is not None and args.out:
                     write_report(partial, args.out)

@@ -1,7 +1,7 @@
 """Run configuration: YAML schema, camera calibration documents, defaults.
 
-The same camera schema is used for standalone calibration files and for the
-``cameras`` section of a run config: camera_id, row-major 3x3 intrinsics,
+Each entry of a run config's ``cameras`` section is one camera calibration
+document: camera_id, row-major 3x3 intrinsics,
 3x3 rotation (world directions to camera directions), 3-vector translation
 (camera center in world coordinates, meters) and pixel image size.
 """
@@ -43,6 +43,10 @@ class NetworkConfig:
     connect_retries: int = 20
     retry_backoff_s: float = 0.25
 
+    def __post_init__(self):
+        if self.bandwidth_bytes_per_s <= 0:
+            raise ValueError("bandwidth_bytes_per_s must be positive")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,6 +80,8 @@ class RunConfig:
             raise ConfigError("k_views must be >= 1")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if self.compression_factor <= 0:
+            raise ConfigError("compression_factor must be positive")
         if not self.cameras:
             object.__setattr__(self, "cameras", tuple(default_cameras()))
         sizes = {cam.image_size for cam in self.cameras}
@@ -158,15 +164,6 @@ def camera_from_dict(doc: dict) -> CameraModel:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad camera document: {exc}") from exc
-
-
-def load_calibration(path: str) -> CameraModel:
-    """Read a single-camera calibration document (YAML)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: calibration file must hold one camera document")
-    return camera_from_dict(doc)
 
 
 # Fields holding a nested dataclass section, per config class.

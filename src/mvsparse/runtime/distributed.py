@@ -39,10 +39,6 @@ class ConnectionLost(Exception):
     pass
 
 
-class FrameTimeout(Exception):
-    pass
-
-
 def _check_mode(cfg: RunConfig) -> None:
     if cfg.mode not in DISTRIBUTED_MODES:
         raise ConfigError(
@@ -52,8 +48,9 @@ def _check_mode(cfg: RunConfig) -> None:
 
 def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
     """Serve one run: accept all cameras, drive the frame barrier, return the
-    final report. On a lost connection the partial report is attached to the
-    raised ConnectionLost as ``partial_report``."""
+    final report. On a lost connection, or a camera silent for
+    ``frame_timeout_s`` at connect or at a frame, the partial report is
+    attached to the raised ConnectionLost as ``partial_report``."""
     _check_mode(cfg)
     n_cameras = len(cfg.cameras)
     engine = ServerEngine(cfg)
@@ -71,10 +68,7 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
     accepted: list[socket.socket] = []  # closed on every exit, rejected ones too
     try:
         while len(conns) < n_cameras:
-            try:
-                sock, _ = listener.accept()
-            except socket.timeout as exc:
-                raise FrameTimeout("timed out waiting for cameras to connect") from exc
+            sock, _ = listener.accept()
             accepted.append(sock)
             sock.settimeout(cfg.network.frame_timeout_s)
             hello = read_message(sock)
@@ -91,7 +85,7 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
             scene = source.frame(t)
             updates: dict[int, BlockUpdate] = {}
             for cam_id in cfg.camera_ids:
-                updates[cam_id] = _read_update(conns[cam_id], cam_id, t, cfg)
+                updates[cam_id] = _read_update(conns[cam_id], cam_id, t)
             feedbacks = engine.process(t, updates, scene.ground_points())
             for cam_id in cfg.camera_ids:
                 send_message(conns[cam_id], feedbacks[cam_id])
@@ -114,26 +108,15 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
         listener.close()
 
 
-def _read_update(sock, cam_id: int, frame_id: int, cfg: RunConfig) -> BlockUpdate:
-    """Next update of the given frame from one camera, skipping any late
-    leftovers from dropped frames."""
-    import numpy as np
-
-    while True:
-        try:
-            msg = read_message(sock)
-        except socket.timeout:
-            logger.warning("camera %d: frame %d timed out, dropped", cam_id, frame_id)
-            return BlockUpdate(frame_id, cam_id, np.zeros(cfg.grid.shape, dtype=np.uint8), ())
-        if isinstance(msg, BlockUpdate):
-            if msg.frame_id == frame_id:
-                return msg
-            if msg.frame_id < frame_id:
-                continue  # stale leftover from a dropped frame
-            raise ConnectionLost(
-                f"camera {cam_id} ahead of barrier: frame {msg.frame_id} > {frame_id}"
-            )
+def _read_update(sock, cam_id: int, frame_id: int) -> BlockUpdate:
+    """The given frame's update from one camera. A camera silent for the
+    socket timeout raises ``socket.timeout``, an OSError, which ends the run."""
+    msg = read_message(sock)
+    if not isinstance(msg, BlockUpdate):
         raise ConnectionLost(f"camera {cam_id}: unexpected {type(msg).__name__}")
+    if msg.frame_id != frame_id:
+        raise ConnectionLost(f"camera {cam_id}: update for frame {msg.frame_id} at frame {frame_id}")
+    return msg
 
 
 def run_camera_node(

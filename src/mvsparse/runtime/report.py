@@ -23,7 +23,8 @@ def load_report(path: str) -> dict:
         return json.load(fh)
 
 
-def _fmt(value) -> str:
+def fmt(value) -> str:
+    """A report value as printed: n/a for None, four decimals for a float."""
     if value is None:
         return "n/a"
     if isinstance(value, float):
@@ -45,12 +46,12 @@ def compare_table(a: dict, b: dict) -> str:
         return f"{y / x:.3f}"
 
     for key in ("moda", "modp", "precision", "recall", "mota", "idf1"):
-        rows.append((key, _fmt(sa.get(key)), _fmt(sb.get(key)), ratio(sa.get(key), sb.get(key))))
+        rows.append((key, fmt(sa.get(key)), fmt(sb.get(key)), ratio(sa.get(key), sb.get(key))))
     for key in ("blocks_per_camera_frame", "bytes_per_frame"):
-        rows.append((key, _fmt(sa.get(key)), _fmt(sb.get(key)), ratio(sa.get(key), sb.get(key))))
+        rows.append((key, fmt(sa.get(key)), fmt(sb.get(key)), ratio(sa.get(key), sb.get(key))))
     ra, rb = a.get("resources", {}), b.get("resources", {})
     for key in ("mb_per_frame", "transmission_ms_per_frame"):
-        rows.append((key, _fmt(ra.get(key)), _fmt(rb.get(key)), ratio(ra.get(key), rb.get(key))))
+        rows.append((key, fmt(ra.get(key)), fmt(rb.get(key)), ratio(ra.get(key), rb.get(key))))
 
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = []

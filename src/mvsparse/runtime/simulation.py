@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import rng as rngmod
 from ..association import assign_cameras, cluster_detections
-from ..detector import DetectionSet, ViewState, fuse_ground_plane, simulate_view_detections
+from ..detector import Detection, ViewState, fuse_ground_plane, simulate_view_detections
 from ..geometry import CameraModel, GroundPoint
 from ..metrics import MetricAccumulator, oracle_select
 from ..policy import PolicyAgent, target_cost
@@ -93,9 +93,9 @@ class CameraRuntime:
                 rngmod.substream(cfg.seed, rngmod.POLICY, camera.camera_id),
             )
         self.static_mask = static_mask
-        self._pending: DetectionSet | None = None
+        self._pending: tuple[Detection, ...] | None = None
 
-    def candidate_detections(self, gt: GtView, frame_id: int) -> DetectionSet:
+    def candidate_detections(self, gt: GtView, frame_id: int) -> tuple[Detection, ...]:
         """Privileged full-refresh pass (oracle mode) over this camera's
         ground truth; leaves no trace in the committed state and replays the
         exact noise of a real full pass."""
@@ -132,7 +132,7 @@ class CameraRuntime:
             self.view_state, actions, gt, frame_id, self.cfg.detector
         )
         self._pending = dets
-        return BlockUpdate(frame_id, self.camera.camera_id, actions, dets.detections)
+        return BlockUpdate(frame_id, self.camera.camera_id, actions, dets)
 
     def end_frame(self, frame_id: int, feedback: ServerFeedback) -> None:
         dets = self._pending
@@ -165,19 +165,14 @@ class ServerEngine:
     ) -> dict[int, ServerFeedback]:
         cfg = self.cfg
         cam_ids = cfg.camera_ids
-        det_sets = [
-            DetectionSet(cam, frame_id, updates[cam].detections) for cam in cam_ids
-        ]
-        clusters = cluster_detections(det_sets, cfg.cluster_eps)
+        clusters = cluster_detections([updates[cam].detections for cam in cam_ids], cfg.cluster_eps)
         topk = assign_cameras(clusters, cfg.k_views, self.grid, cam_ids)
         fused = fuse_ground_plane(clusters)
 
         self.tracker.predict(cfg.dt)
         self.tracker.associate_and_update(fused)
 
-        self.acc.accumulate_detection_frame(
-            [p for _, p in gt_ground], [f.ground for f in fused]
-        )
+        self.acc.accumulate_detection_frame([p for _, p in gt_ground], fused)
         self.acc.accumulate_tracking_frame(
             gt_ground, [(t.track_id, t.position) for t in self.tracker.reported()]
         )
@@ -249,8 +244,7 @@ def profile_static_masks(cfg: RunConfig) -> dict[int, np.ndarray]:
     for t in range(min(cfg.static_mask_profile_frames, cfg.frames)):
         scene = source.frame(t)
         updates = [rt.begin_frame(scene, t, actions_override=ones) for rt in runtimes]
-        det_sets = [DetectionSet(u.camera_id, t, u.detections) for u in updates]
-        clusters = cluster_detections(det_sets, cfg.cluster_eps)
+        clusters = cluster_detections([u.detections for u in updates], cfg.cluster_eps)
         topk = assign_cameras(clusters, cfg.k_views, cfg.grid, cfg.camera_ids)
         for cam in cfg.camera_ids:
             union[cam] |= topk.masks[cam]

@@ -46,9 +46,6 @@ class Arena:
     y_min: float = 0.0
     y_max: float = 36.0
 
-    def contains(self, p: GroundPoint) -> bool:
-        return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
-
     def clamp(self, x: float, y: float) -> tuple[float, float]:
         return (
             min(max(x, self.x_min), self.x_max),

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import match_bipartite
-from .detector import FusedDetection
 from .geometry import GroundPoint
 
 GATE = 9.21  # chi-square quantile, 2 degrees of freedom, 99%
@@ -87,8 +86,8 @@ class GroundTracker:
         self._next_id = 0
         self._frame_count = 0
 
-    def _new_track(self, det: FusedDetection) -> Track:
-        mean = np.array([det.ground.x, det.ground.y, 0.0, 0.0])
+    def _new_track(self, p: GroundPoint) -> Track:
+        mean = np.array([p.x, p.y, 0.0, 0.0])
         r = self.cfg.measurement_noise
         cov = np.diag([r, r, self.cfg.init_velocity_var, self.cfg.init_velocity_var])
         track = Track(self._next_id, mean, cov)
@@ -123,11 +122,11 @@ class GroundTracker:
             t.cov = cov
             t.age += 1
 
-    def associate_and_update(self, fused: list[FusedDetection]) -> None:
-        """Match predicted tracks to fused detections inside the gate, at
-        least cost d^2 + ln|S| (shifted to be non-negative), and update the
-        matched tracks in one stacked step. Unmatched detections open new
-        tracks, tracks over the miss budget retire."""
+    def associate_and_update(self, fused: list[GroundPoint]) -> None:
+        """Match predicted tracks to the frame's fused ground points inside
+        the gate, at least cost d^2 + ln|S| (shifted to be non-negative), and
+        update the matched tracks in one stacked step. Unmatched points open
+        new tracks, tracks over the miss budget retire."""
         self._frame_count += 1
         r = self.cfg.measurement_noise
         opened = list(range(len(fused)))
@@ -136,7 +135,7 @@ class GroundTracker:
         if self.tracks and fused:
             means = np.array([t.mean for t in self.tracks])
             covs = np.array([t.cov for t in self.tracks])
-            z = np.array([(d.ground.x, d.ground.y) for d in fused])
+            z = np.array([(p.x, p.y) for p in fused])
             S = innovation_cov(covs, r)
             s_inv = np.linalg.inv(S)
             d2 = mahalanobis_sq(means, s_inv, z)

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from mvsparse.detector import DetectionSet, FusedDetection
 from mvsparse.geometry import BlockGrid, GroundPoint
 from mvsparse.metrics import MetricAccumulator
 from mvsparse.policy import (
@@ -22,7 +21,6 @@ from mvsparse.policy import (
     reinforce_update,
     reward,
     target_cost,
-    window_loss,
 )
 from mvsparse.runtime.config import NetworkConfig, RunConfig, default_cameras
 from mvsparse.runtime.report import dumps_report
@@ -31,7 +29,7 @@ from mvsparse.tracker import GroundTracker, TrackerConfig
 
 from test_association import brute_force_clusters, clusters_as_sets, random_separated_instance
 from test_distributed import free_port, run_distributed
-from test_policy import blank_state, det_at_block, random_window, GRID
+from test_policy import blank_state, det_at_block, random_window, window_loss, GRID
 
 
 def announce(n, text):
@@ -83,10 +81,10 @@ class TestCriterion2EquationSuite:
         ones = np.ones(GRID.shape, dtype=np.uint8)
         zeros = np.zeros(GRID.shape, dtype=np.uint8)
         cfg = PolicyConfig()
-        dets = DetectionSet(0, 10, (det_at_block(0, 0),))
+        dets = (det_at_block(0, 0),)
         assert information_gain(blank_state(), dets, ones, GRID, cfg)[0, 0] == 1.0
         assert (information_gain(blank_state(), dets, zeros, GRID, cfg) == 0).all()
-        assert (information_gain(blank_state(), DetectionSet(0, 10, ()), ones, GRID, cfg) == 0).all()
+        assert (information_gain(blank_state(), (), ones, GRID, cfg) == 0).all()
         # view-level computation cost
         params = PolicyParams.initial()
         params.avg_processed = 0.7
@@ -291,7 +289,7 @@ class TestCriterion10TrackerSanity:
             ]
             if t:
                 tracker.predict(dt)
-            tracker.associate_and_update([FusedDetection(p, 1.0, (0,)) for _, p in gt])
+            tracker.associate_and_update([p for _, p in gt])
             acc.accumulate_tracking_frame(gt, [(trk.track_id, trk.position) for trk in tracker.reported()])
         report = acc.finalize()
         assert report["mota"] == pytest.approx(1.0, abs=1e-12)

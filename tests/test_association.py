@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mvsparse.association import Cluster, assign_cameras, cluster_detections, match_bipartite
-from mvsparse.detector import Detection, DetectionSet
-from mvsparse.geometry import BBox, BlockGrid, GroundPoint, blocks_for_bbox
+from mvsparse.detector import Detection
+from mvsparse.geometry import BBox, BlockGrid, GroundPoint
+from test_geometry import blocks_for_bbox
 
 
 def det(cam, x, y, area=800.0):
@@ -15,7 +16,7 @@ def det(cam, x, y, area=800.0):
 
 def view(cam, points, areas=None):
     areas = areas or [800.0] * len(points)
-    return DetectionSet(cam, 0, tuple(det(cam, x, y, a) for (x, y), a in zip(points, areas)))
+    return tuple(det(cam, x, y, a) for (x, y), a in zip(points, areas))
 
 
 class TestMatchBipartite:
@@ -59,9 +60,7 @@ def brute_force_clusters(views, eps):
     minimizes (number of clusters, total intra-cluster pairwise distance).
     Returns the optimum as a frozenset of frozensets of (camera_id, index).
     """
-    items = [
-        (v.camera_id, i, d.ground) for v in views for i, d in enumerate(v.detections)
-    ]
+    items = [(d.camera_id, i, d.ground) for v in views for i, d in enumerate(v)]
     best = [None, None]
 
     def pair_dist(cluster):
@@ -96,8 +95,8 @@ def brute_force_clusters(views, eps):
 def clusters_as_sets(views, clusters):
     key = {}
     for v in views:
-        for i, d in enumerate(v.detections):
-            key[id(d)] = (v.camera_id, i)
+        for i, d in enumerate(v):
+            key[id(d)] = (d.camera_id, i)
     return frozenset(frozenset(key[id(d)] for d in c.members) for c in clusters)
 
 
@@ -120,7 +119,7 @@ def random_separated_instance(rng, eps=0.5):
             if rng.random() < 0.8:
                 jitter = rng.uniform(-eps / 3.5, eps / 3.5, size=2) / np.sqrt(2)
                 dets.append(det(cam, pt[0] + jitter[0], pt[1] + jitter[1], area=float(rng.uniform(500, 4000))))
-        views.append(DetectionSet(cam, 0, tuple(dets)))
+        views.append(tuple(dets))
     return views
 
 
@@ -170,7 +169,7 @@ class TestClusterDetections:
             assert greedy == brute_force_clusters(views, eps=0.5)
 
     def test_empty_first_view(self):
-        a = DetectionSet(0, 0, ())
+        a = ()
         b = view(1, [(1, 1), (3, 3)])
         clusters = cluster_detections([a, b], eps=0.5)
         assert len(clusters) == 2
@@ -215,19 +214,15 @@ class TestAssignCameras:
         grid = BlockGrid.for_image(1152, 640, 128)
         rng = np.random.default_rng(3)
         views = [
-            DetectionSet(
-                cam,
-                0,
-                tuple(
-                    Detection(
-                        cam,
-                        BBox(rng.uniform(0, 1000), rng.uniform(0, 500), rng.uniform(20, 120), rng.uniform(40, 130)),
-                        GroundPoint(rng.uniform(0, 12), rng.uniform(0, 36)),
-                        0.9,
-                        False,
-                    )
-                    for _ in range(6)
-                ),
+            tuple(
+                Detection(
+                    cam,
+                    BBox(rng.uniform(0, 1000), rng.uniform(0, 500), rng.uniform(20, 120), rng.uniform(40, 130)),
+                    GroundPoint(rng.uniform(0, 12), rng.uniform(0, 36)),
+                    0.9,
+                    False,
+                )
+                for _ in range(6)
             )
             for cam in range(3)
         ]

@@ -3,8 +3,15 @@ import json
 import pytest
 import yaml
 
-from mvsparse.runtime.cli import EXIT_CONFIG, EXIT_OK, main
-from mvsparse.runtime.config import RunConfig, config_to_dict, default_cameras, save_config
+from mvsparse.runtime.cli import EXIT_CONFIG, EXIT_NETWORK, EXIT_OK, main
+from mvsparse.runtime.config import (
+    NetworkConfig,
+    RunConfig,
+    config_to_dict,
+    default_cameras,
+    save_config,
+)
+from test_distributed import free_port
 
 
 def write_small_cfg(path, mode="full", frames=6):
@@ -120,3 +127,14 @@ def test_bad_trajectory_file_exits_with_config_error(tmp_path, capsys, rows):
     bad.write_text(f"frames: 1\ntrajectories: {traj}\n")
     assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_serve_without_cameras_exits_with_network_failure(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    out = tmp_path / "partial.json"
+    cfg = write_small_cfg(cfg_path)
+    save_config(cfg.with_overrides(network=NetworkConfig(frame_timeout_s=0.3)), str(cfg_path))
+    code = main(["serve", "--config", str(cfg_path), "--port", str(free_port()), "--out", str(out)])
+    assert code == EXIT_NETWORK
+    assert "network failure" in capsys.readouterr().err
+    assert json.loads(out.read_text())["completed_frames"] == 0

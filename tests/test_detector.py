@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mvsparse import rng as rngmod
 from mvsparse.detector import (
     Detection,
-    DetectionSet,
     DetectorConfig,
     DimensionMismatch,
     ViewState,
@@ -16,8 +15,9 @@ from mvsparse.detector import (
     simulate_view_detections,
 )
 from mvsparse.association import Cluster
-from mvsparse.geometry import BBox, BlockGrid, GroundPoint, blocks_for_bbox, camera_from_pose
+from mvsparse.geometry import BBox, BlockGrid, GroundPoint, camera_from_pose
 from mvsparse.scene import GtView, Pedestrian, SceneFrame, ground_truth_view
+from test_geometry import blocks_for_bbox
 from test_rng import reference_uniforms
 
 PERFECT = DetectorConfig(sigma_px=0.0, p_miss=0.0, fp_rate=0.0, min_box_height_px=0.0)
@@ -116,7 +116,7 @@ class TestSimulateViewDetections:
             _, vs_b = simulate_view_detections(vs_b, np.ones(grid.shape), gt, t, cfg)
         dets_a, _ = simulate_view_detections(vs_a, np.ones(grid.shape), gt, 5, cfg)
         dets_b, _ = simulate_view_detections(vs_b, np.ones(grid.shape), gt, 5, cfg)
-        assert dets_a.detections == dets_b.detections
+        assert dets_a == dets_b
 
     def test_monotone_information_under_more_actions(self):
         cam = make_cam()
@@ -229,14 +229,11 @@ class TestFuseGroundPlane:
         return Detection(cam_id, BBox(0, 0, 10, 20), GroundPoint(x, y), score, False)
 
     def test_singleton_cluster_keeps_its_point(self):
-        fused = fuse_ground_plane([Cluster([self._det(0, 3.0, 4.0)])])
-        assert fused[0].ground == GroundPoint(3.0, 4.0)
-        assert fused[0].cameras == (0,)
+        assert fuse_ground_plane([Cluster([self._det(0, 3.0, 4.0)])]) == [GroundPoint(3.0, 4.0)]
 
     def test_two_member_mean(self):
         fused = fuse_ground_plane([Cluster([self._det(0, 0.0, 0.0, 0.5), self._det(1, 0.2, 0.0, 0.9)])])
-        assert fused[0].ground == GroundPoint(0.1, 0.0)
-        assert fused[0].score == 0.9
+        assert fused == [GroundPoint(0.1, 0.0)]
 
     def test_empty_cluster_list(self):
         assert fuse_ground_plane([]) == []
@@ -313,7 +310,7 @@ def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
                 score = float(frng.uniform(0.2, 0.7))
                 detections.append(Detection(cam.camera_id, box, ground, score, stale=False))
     new_state = ViewState(cam, vs.grid, vs.seed, last_refresh, stale)
-    return DetectionSet(cam.camera_id, frame_id, tuple(detections)), new_state
+    return tuple(detections), new_state
 
 
 _walkers = st.lists(

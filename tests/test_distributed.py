@@ -66,6 +66,25 @@ def run_distributed(cfg, port):
     return result["report"]
 
 
+def serve_in_thread(cfg, port):
+    """Start ``run_server`` on a thread once it listens; ``box["error"]``
+    then receives its ConnectionLost, or None when the run completes."""
+    ready = threading.Event()
+    box = {}
+
+    def serve():
+        try:
+            run_server(cfg, port=port, ready=ready)
+            box["error"] = None
+        except ConnectionLost as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert ready.wait(10.0)
+    return thread, box
+
+
 class TestDistributedEquivalence:
     def test_loopback_run_matches_single_process_bit_for_bit(self):
         cfg = two_camera_cfg(frames=30)
@@ -86,20 +105,7 @@ class TestFailurePaths:
             cameras=tuple(default_cameras()[:1])
         )
         port = free_port()
-        ready = threading.Event()
-        box = {}
-
-        def serve():
-            try:
-                run_server(cfg, port=port, ready=ready)
-                box["error"] = None
-            except ConnectionLost as exc:
-                box["error"] = exc
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert ready.wait(10.0)
-
+        thread, box = serve_in_thread(cfg, port)
         sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
         send_message(sock, Hello(0))
         sock.close()  # vanish before sending any update
@@ -109,46 +115,42 @@ class TestFailurePaths:
         partial = err.partial_report
         assert partial["completed_frames"] == 0
 
-    def test_silent_camera_frames_dropped_on_timeout(self):
-        # one configured camera connects but never sends updates: every
-        # frame times out, is logged and substituted, and the run completes
+    def test_silent_camera_ends_the_run_with_a_partial_report(self):
+        # the camera connects but never sends an update: the first frame's
+        # read times out and ends the run instead of dropping the frame
         cfg = two_camera_cfg(frames=3, mode="full", timeout=0.4).with_overrides(
             cameras=tuple(default_cameras()[:1])
         )
         port = free_port()
-        ready = threading.Event()
-        box = {}
-
-        def serve():
-            box["report"] = run_server(cfg, port=port, ready=ready)
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert ready.wait(10.0)
+        thread, box = serve_in_thread(cfg, port)
         sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
         send_message(sock, Hello(0))
         thread.join(30.0)
         sock.close()
-        report = box["report"]
-        assert report["completed_frames"] == 3
-        assert set(report["series"]["blocks"]) == {0}
+        assert not thread.is_alive()
+        err = box["error"]
+        assert isinstance(err, ConnectionLost)
+        assert err.partial_report["completed_frames"] == 0
+
+    def test_camera_that_never_connects_ends_the_run_with_a_partial_report(self):
+        # one of two cameras connects; the accept timeout ends the run
+        cfg = two_camera_cfg(frames=3, mode="full", timeout=0.4)
+        port = free_port()
+        thread, box = serve_in_thread(cfg, port)
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        send_message(sock, Hello(0))
+        thread.join(30.0)
+        sock.close()
+        assert not thread.is_alive()
+        err = box["error"]
+        assert isinstance(err, ConnectionLost)
+        assert err.partial_report["completed_frames"] == 0
+        assert err.partial_report["frames"] == 3
 
     def test_duplicate_hello_aborts_and_closes_the_second_socket(self):
         cfg = two_camera_cfg(frames=3, timeout=5.0)
         port = free_port()
-        ready = threading.Event()
-        box = {}
-
-        def serve():
-            try:
-                run_server(cfg, port=port, ready=ready)
-                box["error"] = None
-            except ConnectionLost as exc:
-                box["error"] = exc
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert ready.wait(10.0)
+        thread, box = serve_in_thread(cfg, port)
         first = socket.create_connection(("127.0.0.1", port), timeout=5.0)
         send_message(first, Hello(0))
         second = socket.create_connection(("127.0.0.1", port), timeout=5.0)

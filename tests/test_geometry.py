@@ -10,17 +10,56 @@ from mvsparse.geometry import (
     BehindCamera,
     BlockGrid,
     CameraModel,
+    GeometryError,
     GroundPoint,
     ImagePoint,
-    RayParallelToGround,
     bbox_block_mask,
     block_range,
-    blocks_for_bbox,
     camera_from_pose,
     image_to_ground,
-    project_ground_to_image,
-    project_image_to_ground,
+    project_world_point,
 )
+
+# Scalar references the tests compare the program against; the program
+# itself works on cell ranges and stacked solves.
+
+
+class RayParallelToGround(GeometryError):
+    """Pixel ray never meets the z=0 plane."""
+
+
+def project_ground_to_image(cam: CameraModel, p: GroundPoint) -> ImagePoint:
+    """Pinhole projection of the ground point (p.x, p.y, 0)."""
+    return project_world_point(cam, np.array([p.x, p.y, 0.0]))
+
+
+def project_image_to_ground(cam: CameraModel, q: ImagePoint) -> GroundPoint:
+    """One pixel's ground hit through ``image_to_ground``. Raises
+    RayParallelToGround when the ray never meets the plane and BehindCamera
+    when the intersection lies behind the camera."""
+    hits, s = image_to_ground(cam, np.array([[q.u, q.v]]))
+    if np.isnan(s[0]):
+        raise RayParallelToGround(f"camera {cam.camera_id}: ray through ({q.u}, {q.v}) is horizontal")
+    if s[0] <= 0:
+        raise BehindCamera(f"camera {cam.camera_id}: ground intersection behind camera (s={s[0]:.3f})")
+    return GroundPoint(hits[0, 0], hits[0, 1])
+
+
+def blocks_for_bbox(grid: BlockGrid, box: BBox) -> set[tuple[int, int]]:
+    """Grid cells whose pixel extent intersects the box (clamped to the image)."""
+    cells = block_range(grid, box)
+    if cells is None:
+        return set()
+    r0, r1, c0, c1 = cells
+    return {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)}
+
+
+def intersection_area(a: BBox, b: BBox) -> float:
+    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    return ix * iy
 
 
 class TestProjectGroundToImage:
@@ -173,8 +212,8 @@ class TestBBox:
 
     def test_intersection_area(self):
         a = BBox(0, 0, 10, 10)
-        assert a.intersection_area(BBox(5, 5, 10, 10)) == 25
-        assert a.intersection_area(BBox(20, 20, 5, 5)) == 0
+        assert intersection_area(a, BBox(5, 5, 10, 10)) == 25
+        assert intersection_area(a, BBox(20, 20, 5, 5)) == 0
 
 
 def _reference_pixel_bounds(box: BBox, width: int, height: int) -> tuple[int, int, int, int]:

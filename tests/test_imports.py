@@ -1,8 +1,10 @@
-"""No module in src/ or tests/ imports a name it never uses.
+"""No module in src/ or tests/ imports a name it never uses, and no
+function, class or method of the package is left for the tests alone.
 
-Package ``__init__.py`` files are skipped: their imports are the public
-re-exports. A name counts as used when it appears as a name anywhere in the
-module, string annotations such as ``list["Cluster"]`` included.
+Package ``__init__.py`` files are skipped by the import check: their imports
+are the public re-exports. A name counts as used when it appears as a name
+anywhere in the module, string annotations such as ``list["Cluster"]``
+included.
 """
 
 import ast
@@ -13,6 +15,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p for p in [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")] if p.name != "__init__.py"
+)
+# the program: the package and the benchmark harness that drives it
+PROGRAM = sorted(
+    p
+    for p in [*ROOT.glob("src/**/*.py"), *ROOT.glob("perfbench/*.py")]
+    if not p.name.startswith("test_")
 )
 
 
@@ -59,3 +67,55 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(source: str) -> set[str]:
+    """Functions, classes and methods a module defines, dunders aside."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads or writes, every attribute it touches and
+    every string constant; the last because some callers look names up by
+    string (perfbench's ``hooks.SPANS``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_dead_name_checker_sees_names_attributes_and_strings():
+    source = (
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def dead(self): pass\n"
+        "def by_string(): pass\n"
+        "def by_name(): pass\n"
+        "A().used()\n"
+        "hooks = [('mod', 'by_string')]\n"
+        "f = by_name\n"
+    )
+    assert defined_names(source) - referenced_names(source) == {"dead"}
+
+
+def test_every_package_name_is_used_by_the_program():
+    sources = {p: p.read_text(encoding="utf-8") for p in PROGRAM}
+    used = set().union(*map(referenced_names, sources.values()))
+    dead = {
+        f"{p.relative_to(ROOT)}: {name}"
+        for p, source in sources.items()
+        if p.is_relative_to(ROOT / "src")
+        for name in defined_names(source) - used
+    }
+    assert sorted(dead) == []

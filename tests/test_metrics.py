@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mvsparse.detector import Detection
-from mvsparse.geometry import BBox, BlockGrid, GroundPoint, blocks_for_bbox
+from mvsparse.geometry import BBox, BlockGrid, GroundPoint
 from mvsparse.metrics import MetricAccumulator, oracle_select
+from test_geometry import blocks_for_bbox
 
 G = GroundPoint
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsparse.association import cluster_detections, match_bipartite
-from mvsparse.detector import Detection, DetectionSet
+from mvsparse.detector import Detection
 from mvsparse.geometry import BBox, GroundPoint, gated_distances
 from mvsparse.metrics import MetricAccumulator, _match_points
 
@@ -54,12 +54,11 @@ def _reference_match_points(gt, pred, radius):
 
 
 def _reference_cluster_members(views, eps):
-    views = sorted(views, key=lambda v: v.camera_id)
+    """Views in camera_id order, as ``cluster_detections`` takes them."""
     if not views:
         return []
     clusters = [[d] for d in views[0]]
-    for view in views[1:]:
-        dets = list(view)
+    for dets in views[1:]:
         centers = [
             GroundPoint(
                 sum(d.ground.x for d in cl) / len(cl), sum(d.ground.y for d in cl) / len(cl)
@@ -97,8 +96,7 @@ def test_match_points_equals_scalar_reference(gt, pred, radius):
 def test_cluster_detections_equals_scalar_reference(view_points, eps):
     box = BBox(0.0, 0.0, 1.0, 1.0)
     views = [
-        DetectionSet(cam, 0, tuple(Detection(cam, box, p, 0.5, False) for p in ps))
-        for cam, ps in enumerate(view_points)
+        tuple(Detection(cam, box, p, 0.5, False) for p in ps) for cam, ps in enumerate(view_points)
     ]
     got = [cl.members for cl in cluster_detections(views, eps)]
     assert got == _reference_cluster_members(views, eps)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from mvsparse.detector import Detection, DetectionSet
+from mvsparse.detector import Detection
 from mvsparse.geometry import BBox, BlockGrid, GroundPoint
 from mvsparse.policy import (
     DimensionMismatch,
@@ -23,7 +24,6 @@ from mvsparse.policy import (
     reward,
     sample_actions,
     target_cost,
-    window_loss,
 )
 from mvsparse.scene import BACKGROUND, ViewPaint
 
@@ -175,18 +175,18 @@ class TestSampleActions:
 class TestInformationGain:
     def test_static_background_no_detections(self):
         gamma = np.ones(GRID.shape, dtype=np.uint8)
-        r = information_gain(blank_state(), DetectionSet(0, 10, ()), gamma, GRID, CFG)
+        r = information_gain(blank_state(), (), gamma, GRID, CFG)
         assert (r == 0).all()
 
     def test_new_person_covering_block_saturates(self):
         gamma = np.ones(GRID.shape, dtype=np.uint8)
-        dets = DetectionSet(0, 10, (det_at_block(0, 0),))
+        dets = (det_at_block(0, 0),)
         r = information_gain(blank_state(), dets, gamma, GRID, CFG)
         assert r[0, 0] == 1.0
 
     def test_assignment_mask_zeroes_the_gain(self):
         gamma = np.zeros(GRID.shape, dtype=np.uint8)
-        dets = DetectionSet(0, 10, (det_at_block(0, 0),))
+        dets = (det_at_block(0, 0),)
         r = information_gain(blank_state(), dets, gamma, GRID, CFG)
         assert (r == 0).all()
 
@@ -196,7 +196,7 @@ class TestInformationGain:
         history = {8: (GroundPoint(1.0, 1.0),)}
         state = blank_state(last_refresh=last, detection_history=history)
         gamma = np.ones(GRID.shape, dtype=np.uint8)
-        dets = DetectionSet(0, 10, (det_at_block(0, 0, gx=1.0, gy=1.0),))
+        dets = (det_at_block(0, 0, gx=1.0, gy=1.0),)
         r = information_gain(state, dets, gamma, GRID, CFG)
         assert (r == 0).all()
 
@@ -208,7 +208,7 @@ class TestInformationGain:
         moved = ViewPaint(1152, 640, ((BACKGROUND + 50, x0, y0, x1, y1),))
         state = blank_state(last_refresh=last, detection_history=history, frame=moved)
         gamma = np.ones(GRID.shape, dtype=np.uint8)
-        dets = DetectionSet(0, 10, (det_at_block(0, 0, gx=1.0, gy=1.0),))
+        dets = (det_at_block(0, 0, gx=1.0, gy=1.0),)
         r = information_gain(state, dets, gamma, GRID, CFG)
         assert r[0, 0] == 1.0
         assert r[2, 5] == 0.0
@@ -294,6 +294,17 @@ class TestReward:
         assert np.array_equal(plus, -minus)
 
 
+def window_loss(weights: np.ndarray, window: list[WindowSample], p_floor: float = 1e-4) -> float:
+    """Negative reward-weighted log-likelihood of the sampled actions: the
+    loss whose gradient ``reinforce_update`` steps along."""
+    total = 0.0
+    for s in window:
+        psi = np.clip(expit(s.features @ weights), p_floor, 1.0 - p_floor)
+        logp = s.actions * np.log(psi) + (1 - s.actions) * np.log(1.0 - psi)
+        total -= float(np.sum(s.rewards * logp))
+    return total
+
+
 def random_window(rng, n_samples=3, n_blocks=5):
     cfg = PolicyConfig()
     weights = rng.normal(0, 0.8, size=7)
@@ -304,7 +315,7 @@ def random_window(rng, n_samples=3, n_blocks=5):
         psi = np.clip(1 / (1 + np.exp(-(feats @ weights))), cfg.p_floor, 1 - cfg.p_floor)
         actions = (rng.random(n_blocks) < psi).astype(float)
         rewards = rng.normal(0, 0.5, size=n_blocks)
-        window.append(WindowSample(feats, psi, actions, rewards))
+        window.append(WindowSample(feats, actions, rewards))
     return weights, window
 
 
@@ -313,14 +324,14 @@ class TestReinforceUpdate:
         # one block, psi=0.9, action taken, reward 0.5: L = -0.5*ln(0.9)
         feats = np.array([[0.0, 0, 0, 0, 0, 0, math.log(9.0)]])
         weights = np.array([0.0, 0, 0, 0, 0, 0, 1.0])
-        window = [WindowSample(feats, np.array([0.9]), np.array([1.0]), np.array([0.5]))]
+        window = [WindowSample(feats, np.array([1.0]), np.array([0.5]))]
         assert window_loss(weights, window) == pytest.approx(-0.5 * math.log(0.9), abs=1e-12)
         assert window_loss(weights, window) == pytest.approx(0.05268, abs=1e-5)
 
     def test_zero_rewards_leave_weights_unchanged(self):
         rng = np.random.default_rng(0)
         weights, window = random_window(rng)
-        window = [WindowSample(s.features, s.probs, s.actions, np.zeros_like(s.rewards)) for s in window]
+        window = [WindowSample(s.features, s.actions, np.zeros_like(s.rewards)) for s in window]
         params = PolicyParams(weights.copy())
         reinforce_update(params, window, PolicyConfig())
         assert np.array_equal(params.weights, weights)
@@ -347,7 +358,7 @@ class TestReinforceUpdate:
     def test_non_finite_gradient_raises_and_preserves_weights(self):
         rng = np.random.default_rng(2)
         weights, window = random_window(rng)
-        bad = [WindowSample(s.features, s.probs, s.actions, s.rewards * np.inf) for s in window]
+        bad = [WindowSample(s.features, s.actions, s.rewards * np.inf) for s in window]
         params = PolicyParams(weights.copy())
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteGradient):
             reinforce_update(params, bad, PolicyConfig())
@@ -554,13 +565,9 @@ def test_block_features_equal_the_pixel_reference(case, cfg):
 @given(policy_states(), CONFIGS, st.data())
 def test_information_gain_equals_the_pixel_reference(case, cfg, data):
     grid, state = case
-    dets = DetectionSet(
-        0,
-        10,
-        tuple(
-            Detection(0, box, data.draw(st.sampled_from(GROUNDS)), 0.9, False)
-            for box in data.draw(boxes(grid))
-        ),
+    dets = tuple(
+        Detection(0, box, data.draw(st.sampled_from(GROUNDS)), 0.9, False)
+        for box in data.draw(boxes(grid))
     )
     bits = st.lists(st.integers(0, 1), min_size=grid.n_blocks, max_size=grid.n_blocks)
     gamma = np.array(data.draw(bits), dtype=np.uint8).reshape(grid.shape)

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from mvsparse.geometry import blocks_for_bbox, project_image_to_ground
 from mvsparse.runtime.config import (
     ConfigError,
     RunConfig,
@@ -14,7 +13,6 @@ from mvsparse.runtime.config import (
     config_from_dict,
     config_to_dict,
     default_cameras,
-    load_calibration,
     load_config,
     save_config,
 )
@@ -24,6 +22,7 @@ from mvsparse.metrics import oracle_select
 from mvsparse.scene import Pedestrian, SceneFrame, ground_truth_view, project_pedestrian_box
 from mvsparse.detector import DetectorConfig
 from mvsparse.geometry import GroundPoint
+from test_geometry import blocks_for_bbox, project_image_to_ground
 
 import yaml
 
@@ -84,6 +83,9 @@ class TestConfig:
             {"dt": "fast"},
             {"network": {"host": 127}},
             {"trajectories": 5},
+            {"policy": {"train_interval": 0}},
+            {"compression_factor": 0},
+            {"network": {"bandwidth_bytes_per_s": 0}},
         ],
         ids=[
             "nested-unknown-key",
@@ -105,6 +107,9 @@ class TestConfig:
             "float-field-string",
             "str-field-int",
             "optional-str-field-int",
+            "train-interval-zero",
+            "compression-factor-zero",
+            "bandwidth-zero",
         ],
     )
     def test_malformed_documents_are_config_errors(self, doc):
@@ -137,7 +142,8 @@ class TestConfig:
         path = tmp_path / "cam2.yaml"
         with open(path, "w") as fh:
             yaml.safe_dump(camera_to_dict(cam), fh)
-        loaded = load_calibration(str(path))
+        with open(path) as fh:
+            loaded = camera_from_dict(yaml.safe_load(fh))
         assert loaded.camera_id == cam.camera_id
         assert np.allclose(loaded.rotation, cam.rotation)
         assert np.allclose(loaded.translation, cam.translation)
@@ -355,7 +361,7 @@ class TestCameraRuntime:
             candidates = {}
             for rt in runtimes:
                 cam_id = rt.camera.camera_id
-                candidates[cam_id] = rt.candidate_detections(gts[cam_id], t).detections
+                candidates[cam_id] = rt.candidate_detections(gts[cam_id], t)
                 before = rt.view_state
                 assert rt.begin_frame(scene, t, ones, gts[cam_id]).detections == candidates[cam_id]
                 rt.view_state = before

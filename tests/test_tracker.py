@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsparse.detector import FusedDetection
 from mvsparse.geometry import GroundPoint
 from mvsparse.tracker import (
     GATE,
@@ -15,30 +14,26 @@ from mvsparse.tracker import (
 )
 
 
-def fused(x, y, score=0.9):
-    return FusedDetection(GroundPoint(x, y), score, (0,))
-
-
 NOISELESS = TrackerConfig(process_noise=0.0, measurement_noise=0.0)
 
 
 class TestPredict:
     def test_constant_velocity_transition(self):
         tracker = GroundTracker(NOISELESS)
-        tracker.tracks.append(tracker._new_track(fused(0, 0)))
+        tracker.tracks.append(tracker._new_track(GroundPoint(0, 0)))
         tracker.tracks[0].mean = np.array([0.0, 0.0, 1.0, 0.0])
         tracker.predict(dt=1.0)
         assert np.allclose(tracker.tracks[0].mean, [1.0, 0.0, 1.0, 0.0])
 
     def test_zero_velocity_stays_put(self):
         tracker = GroundTracker(NOISELESS)
-        tracker.tracks.append(tracker._new_track(fused(2, 3)))
+        tracker.tracks.append(tracker._new_track(GroundPoint(2, 3)))
         tracker.predict(dt=1.0)
         assert np.allclose(tracker.tracks[0].mean[:2], [2.0, 3.0])
 
     def test_covariance_grows_with_process_noise(self):
         tracker = GroundTracker(TrackerConfig(process_noise=0.5))
-        tracker.tracks.append(tracker._new_track(fused(0, 0)))
+        tracker.tracks.append(tracker._new_track(GroundPoint(0, 0)))
         before = np.trace(tracker.tracks[0].cov)
         tracker.predict(dt=1.0)
         assert np.trace(tracker.tracks[0].cov) >= before
@@ -77,7 +72,7 @@ def test_stacked_predict_equals_the_per_track_loop(raw, dt, q):
     tracker = GroundTracker(TrackerConfig(process_noise=q))
     tracks = [(np.array(m), np.array(c).reshape(4, 4)) for m, c in raw]
     for mean, cov in tracks:
-        tracker.tracks.append(tracker._new_track(fused(0, 0)))
+        tracker.tracks.append(tracker._new_track(GroundPoint(0, 0)))
         tracker.tracks[-1].mean, tracker.tracks[-1].cov = mean, cov
     tracker.predict(dt)
     for track, (mean, cov) in zip(tracker.tracks, loop_predict(tracks, dt, q)):
@@ -89,9 +84,9 @@ def test_stacked_predict_equals_the_per_track_loop(raw, dt, q):
 class TestAssociateAndUpdate:
     def test_identical_position_matches(self):
         tracker = GroundTracker(NOISELESS)
-        tracker.associate_and_update([fused(1, 1)])
+        tracker.associate_and_update([GroundPoint(1, 1)])
         tracker.predict(1.0)
-        tracker.associate_and_update([fused(1, 1)])
+        tracker.associate_and_update([GroundPoint(1, 1)])
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].hits == 2
 
@@ -100,10 +95,10 @@ class TestAssociateAndUpdate:
         # the predicted track's innovation covariance is diagonal, so the
         # gate ellipse d^2 = GATE reaches sqrt(GATE * S_xx) along x
         tracker = GroundTracker(TrackerConfig())
-        tracker.associate_and_update([fused(1, 1)])
+        tracker.associate_and_update([GroundPoint(1, 1)])
         tracker.predict(1 / 30)
         s_xx = innovation_cov(tracker.tracks[0].cov[None], tracker.cfg.measurement_noise)[0, 0, 0]
-        tracker.associate_and_update([fused(1 + scale * np.sqrt(GATE * s_xx), 1)])
+        tracker.associate_and_update([GroundPoint(1 + scale * np.sqrt(GATE * s_xx), 1)])
         assert len(tracker.tracks) == tracks
 
     def test_noiseless_straight_line_prediction_exact(self):
@@ -111,10 +106,10 @@ class TestAssociateAndUpdate:
         # first update
         tracker = GroundTracker(NOISELESS)
         v, dt = 0.04, 0.5
-        tracker.associate_and_update([fused(0.0, 0.0)])
+        tracker.associate_and_update([GroundPoint(0.0, 0.0)])
         for k in range(1, 4):
             tracker.predict(dt)
-            tracker.associate_and_update([fused(v * dt * k, 0.0)])
+            tracker.associate_and_update([GroundPoint(v * dt * k, 0.0)])
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].hits == 4
         tracker.predict(dt)
@@ -124,19 +119,19 @@ class TestAssociateAndUpdate:
 
     def test_track_ids_never_reused(self):
         tracker = GroundTracker(TrackerConfig(max_misses=0))
-        tracker.associate_and_update([fused(1, 1)])
+        tracker.associate_and_update([GroundPoint(1, 1)])
         first = tracker.tracks[0].track_id
         tracker.predict(1.0)
         tracker.associate_and_update([])  # miss -> retirement at max_misses=0
         assert tracker.tracks == []
         tracker.predict(1.0)
-        tracker.associate_and_update([fused(1, 1)])
+        tracker.associate_and_update([GroundPoint(1, 1)])
         assert tracker.tracks[0].track_id != first
 
     def test_retirement_after_max_misses(self):
         cfg = TrackerConfig(max_misses=2)
         tracker = GroundTracker(cfg)
-        tracker.associate_and_update([fused(1, 1)])
+        tracker.associate_and_update([GroundPoint(1, 1)])
         for _ in range(3):
             tracker.predict(1.0)
             tracker.associate_and_update([])
@@ -145,14 +140,14 @@ class TestAssociateAndUpdate:
     def test_reported_applies_min_hits_after_grace(self):
         cfg = TrackerConfig(min_hits=2)
         tracker = GroundTracker(cfg)
-        tracker.associate_and_update([fused(1, 1)])
+        tracker.associate_and_update([GroundPoint(1, 1)])
         assert len(tracker.reported()) == 1  # startup grace
         for _ in range(3):
             tracker.predict(1.0)
-            tracker.associate_and_update([fused(1, 1)])
+            tracker.associate_and_update([GroundPoint(1, 1)])
         # a brand-new track later on needs min_hits before being reported
         tracker.predict(1.0)
-        tracker.associate_and_update([fused(1, 1), fused(5, 5)])
+        tracker.associate_and_update([GroundPoint(1, 1), GroundPoint(5, 5)])
         reported_ids = {t.track_id for t in tracker.reported()}
         newborn = [t for t in tracker.tracks if t.hits == 1][0]
         assert newborn.track_id not in reported_ids
@@ -166,7 +161,7 @@ class TestAssociateAndUpdate:
             if t:
                 tracker.predict(1 / 30)
             dets = [
-                fused(x + 0.3 * t / 30 + rng.normal(0, 0.02), y + rng.normal(0, 0.02))
+                GroundPoint(x + 0.3 * t / 30 + rng.normal(0, 0.02), y + rng.normal(0, 0.02))
                 for x, y in walkers
             ]
             tracker.associate_and_update(dets)
@@ -183,7 +178,7 @@ class TestAssociateAndUpdate:
         for t in range(100):
             if t:
                 tracker.predict(dt)
-            dets = [fused(x + vx * dt * t, y + vy * dt * t) for (x, y), (vx, vy) in zip(starts, vel)]
+            dets = [GroundPoint(x + vx * dt * t, y + vy * dt * t) for (x, y), (vx, vy) in zip(starts, vel)]
             tracker.associate_and_update(dets)
             ids = sorted(t.track_id for t in tracker.tracks)
             assert len(ids) == 4
