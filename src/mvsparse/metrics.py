@@ -1,4 +1,4 @@
-"""Evaluation suite: detection and tracking scores plus resource accounting.
+"""Evaluation suite: detection and tracking scores.
 
 Detection and tracking quality are both measured on the ground plane with a
 fixed match radius. Identity scores follow the standard global-assignment
@@ -37,14 +37,12 @@ class MetricAccumulator:
 
     match_radius: float = DEFAULT_MATCH_RADIUS
     # detection
-    det_frames: int = 0
     gt_total: int = 0
     tp: int = 0
     fp: int = 0
     fn: int = 0
     overlap_sum: float = 0.0
     # tracking
-    trk_frames: int = 0
     trk_gt_total: int = 0
     trk_fp: int = 0
     trk_fn: int = 0
@@ -52,17 +50,12 @@ class MetricAccumulator:
     trk_pred_total: int = 0
     _last_matched: dict[int, int] = field(default_factory=dict)
     _co_presence: dict[tuple[int, int], int] = field(default_factory=dict)
-    # resources
-    resource_frames: int = 0
-    blocks_total: int = 0
-    bytes_total: float = 0.0
 
     def accumulate_detection_frame(
         self, gt_points: list[GroundPoint], detections: list[GroundPoint]
     ) -> None:
         matches = _match_points(gt_points, detections, self.match_radius)
         n_match = len(matches)
-        self.det_frames += 1
         self.gt_total += len(gt_points)
         self.tp += n_match
         self.fp += len(detections) - n_match
@@ -76,7 +69,6 @@ class MetricAccumulator:
     ) -> None:
         dist = gated_distances([p for _, p in gt], [p for _, p in tracks], self.match_radius)
         matches, _, _ = match_bipartite(dist, self.match_radius)
-        self.trk_frames += 1
         self.trk_gt_total += len(gt)
         self.trk_pred_total += len(tracks)
         self.trk_fp += len(tracks) - len(matches)
@@ -93,11 +85,6 @@ class MetricAccumulator:
             key = (gt[gi][0], tracks[ti][0])
             self._co_presence[key] = self._co_presence.get(key, 0) + 1
 
-    def add_frame_resources(self, blocks: int, traffic_bytes: float) -> None:
-        self.resource_frames += 1
-        self.blocks_total += int(blocks)
-        self.bytes_total += float(traffic_bytes)
-
     def _identity_scores(self) -> tuple[int, int, int]:
         """(IDTP, IDFP, IDFN) from the optimal identity assignment."""
         if not self._co_presence:
@@ -113,7 +100,7 @@ class MetricAccumulator:
         idtp = int(gain[rows, cols].sum())
         return idtp, self.trk_pred_total - idtp, self.trk_gt_total - idtp
 
-    def finalize(self, n_cameras: int = 1) -> dict:
+    def finalize(self) -> dict:
         """Aggregate scores; degenerate denominators yield None sentinels, so
         an accumulator that saw no frame finalizes to all-None scores and zero
         counts."""
@@ -129,7 +116,6 @@ class MetricAccumulator:
             mota = 1.0 - (self.trk_fp + self.trk_fn + self.id_switches) / self.trk_gt_total
         idtp, idfp, idfn = self._identity_scores()
         idf1 = ratio(2.0 * idtp, 2.0 * idtp + idfp + idfn)
-        frames = max(self.det_frames, self.trk_frames, self.resource_frames)
         return {
             "moda": moda,
             "modp": ratio(self.overlap_sum, self.tp),
@@ -142,12 +128,6 @@ class MetricAccumulator:
             "tp": self.tp,
             "fp": self.fp,
             "fn": self.fn,
-            "blocks_per_frame_total": ratio(self.blocks_total, self.resource_frames),
-            "blocks_per_camera_frame": ratio(
-                self.blocks_total, self.resource_frames * max(1, n_cameras)
-            ),
-            "bytes_per_frame": ratio(self.bytes_total, self.resource_frames),
-            "frames": frames,
         }
 
 

@@ -86,7 +86,6 @@ class PolicyState:
 
 @dataclass(frozen=True)
 class BlockActions:
-    probs: np.ndarray  # (rows, cols) in [0, 1]
     actions: np.ndarray  # (rows, cols) in {0, 1}
 
 
@@ -380,7 +379,7 @@ class PolicyAgent:
         forced = frame_id == 0 or (interval > 0 and frame_id % interval == 0)
         actions = sample_actions(psi, self.rng, force_full=forced)
         self._pending = (state, features, actions, forced)
-        return BlockActions(psi, actions)
+        return BlockActions(actions)
 
     def finish_frame(
         self,

@@ -102,9 +102,8 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 report = run_server(cfg, port=args.port)
             except ConnectionLost as exc:
-                partial = getattr(exc, "partial_report", None)
-                if partial is not None and args.out:
-                    write_report(partial, args.out)
+                if exc.partial_report is not None and args.out:
+                    write_report(exc.partial_report, args.out)
                     print(f"partial report written to {args.out}", file=sys.stderr)
                 print(f"network failure: {exc}", file=sys.stderr)
                 return EXIT_NETWORK

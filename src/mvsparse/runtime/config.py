@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -19,7 +20,7 @@ import yaml
 from ..detector import DetectorConfig
 from ..geometry import BlockGrid, CameraModel, camera_from_pose
 from ..policy import PolicyConfig
-from ..scene import Arena, SceneConfig
+from ..scene import SceneConfig
 from ..tracker import TrackerConfig
 from .protocol import MAX_CAMERA_ID, MAX_GRID_SIDE
 
@@ -166,17 +167,10 @@ def camera_from_dict(doc: dict) -> CameraModel:
         raise ConfigError(f"bad camera document: {exc}") from exc
 
 
-# Fields holding a nested dataclass section, per config class.
-_SECTIONS = {
-    RunConfig: {
-        "scene": SceneConfig,
-        "detector": DetectorConfig,
-        "policy": PolicyConfig,
-        "tracker": TrackerConfig,
-        "network": NetworkConfig,
-    },
-    SceneConfig: {"arena": Arena},
-}
+def _sections(cls) -> dict[str, type]:
+    """The fields of config class ``cls`` that hold a nested dataclass
+    section, with their classes. The rig's ``cameras`` tuple is no section."""
+    return {name: hint for name, hint in get_type_hints(cls).items() if is_dataclass(hint)}
 
 
 # Document value types each scalar field annotation accepts. A bool is an
@@ -188,7 +182,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
     """The config as a YAML-ready document with the keys in field order:
     nested sections as mappings, cameras as calibration documents."""
     doc = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    for name in _SECTIONS[RunConfig]:
+    for name in _sections(RunConfig):
         doc[name] = asdict(doc[name])
     doc["cameras"] = [camera_to_dict(c) for c in cfg.cameras]
     return doc
@@ -196,7 +190,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def _from_doc(cls, doc, where: str):
     """Build config class ``cls`` from its document, recursing into the
-    sections in ``_SECTIONS``; ``where`` is the section path, "" at the top.
+    sections its annotations name; ``where`` is the section path, "" at the top.
     Omitted keys keep their defaults, and each scalar value must have its
     field's annotated type; every bad document is a ConfigError."""
     if not isinstance(doc, dict):
@@ -212,7 +206,7 @@ def _from_doc(cls, doc, where: str):
             key = f"{where}.{f.name}" if where else f.name
             raise ConfigError(f"{key} must be {f.type}, got {value!r}")
     kwargs = dict(doc)
-    for name, section in _SECTIONS.get(cls, {}).items():
+    for name, section in _sections(cls).items():
         if name in kwargs:
             kwargs[name] = _from_doc(section, kwargs[name], f"{where}.{name}" if where else name)
     if cls is RunConfig and "cameras" in kwargs:

@@ -36,7 +36,13 @@ DISTRIBUTED_MODES = ("full", "blockcopy", "mvsparse")
 
 
 class ConnectionLost(Exception):
-    pass
+    """A run ended early by its peer: a lost or silent connection, or a
+    message out of protocol. A server run carries the report of the frames
+    it completed as ``partial_report``."""
+
+    def __init__(self, message: str, partial_report: dict | None = None):
+        super().__init__(message)
+        self.partial_report = partial_report
 
 
 def _check_mode(cfg: RunConfig) -> None:
@@ -48,9 +54,10 @@ def _check_mode(cfg: RunConfig) -> None:
 
 def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
     """Serve one run: accept all cameras, drive the frame barrier, return the
-    final report. On a lost connection, or a camera silent for
-    ``frame_timeout_s`` at connect or at a frame, the partial report is
-    attached to the raised ConnectionLost as ``partial_report``."""
+    final report. Every early end raises ConnectionLost with the partial
+    report and names the camera and frame being served, or the accept phase:
+    a lost connection, a camera silent for ``frame_timeout_s`` (the socket
+    timeout), an unknown or duplicate camera, or an out-of-order message."""
     _check_mode(cfg)
     n_cameras = len(cfg.cameras)
     engine = ServerEngine(cfg)
@@ -66,6 +73,7 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
 
     conns: dict[int, socket.socket] = {}
     accepted: list[socket.socket] = []  # closed on every exit, rejected ones too
+    cam_id = t = None  # the camera and frame being served; None while accepting
     try:
         while len(conns) < n_cameras:
             sock, _ = listener.accept()
@@ -85,7 +93,12 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
             scene = source.frame(t)
             updates: dict[int, BlockUpdate] = {}
             for cam_id in cfg.camera_ids:
-                updates[cam_id] = _read_update(conns[cam_id], cam_id, t)
+                msg = read_message(conns[cam_id])
+                if not isinstance(msg, BlockUpdate):
+                    raise ConnectionLost(f"unexpected {type(msg).__name__}")
+                if msg.frame_id != t:
+                    raise ConnectionLost(f"update for frame {msg.frame_id}")
+                updates[cam_id] = msg
             feedbacks = engine.process(t, updates, scene.ground_points())
             for cam_id in cfg.camera_ids:
                 send_message(conns[cam_id], feedbacks[cam_id])
@@ -98,25 +111,13 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
             except (ProtocolError, OSError):
                 logger.warning("camera %d closed without end-of-sequence", cam_id)
         return engine.report()
-    except (ProtocolError, OSError) as exc:
-        err = ConnectionLost(str(exc))
-        err.partial_report = engine.report()
-        raise err from exc
+    except (ProtocolError, OSError, ConnectionLost) as exc:
+        where = "accepting cameras" if t is None else f"camera {cam_id}, frame {t}"
+        raise ConnectionLost(f"{where}: {exc}", engine.report()) from exc
     finally:
         for sock in accepted:
             sock.close()
         listener.close()
-
-
-def _read_update(sock, cam_id: int, frame_id: int) -> BlockUpdate:
-    """The given frame's update from one camera. A camera silent for the
-    socket timeout raises ``socket.timeout``, an OSError, which ends the run."""
-    msg = read_message(sock)
-    if not isinstance(msg, BlockUpdate):
-        raise ConnectionLost(f"camera {cam_id}: unexpected {type(msg).__name__}")
-    if msg.frame_id != frame_id:
-        raise ConnectionLost(f"camera {cam_id}: update for frame {msg.frame_id} at frame {frame_id}")
-    return msg
 
 
 def run_camera_node(

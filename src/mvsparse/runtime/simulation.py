@@ -79,7 +79,7 @@ class CameraRuntime:
     """One camera's frame cycle: select blocks, run the simulated detector,
     learn from the server's feedback. Owns all per-camera mutable state."""
 
-    def __init__(self, cfg: RunConfig, camera: CameraModel, static_mask: np.ndarray | None = None):
+    def __init__(self, cfg: RunConfig, camera: CameraModel):
         self.cfg = cfg
         self.camera = camera
         self.grid = cfg.grid
@@ -92,7 +92,6 @@ class CameraRuntime:
                 cfg.policy,
                 rngmod.substream(cfg.seed, rngmod.POLICY, camera.camera_id),
             )
-        self.static_mask = static_mask
         self._pending: tuple[Detection, ...] | None = None
 
     def candidate_detections(self, gt: GtView, frame_id: int) -> tuple[Detection, ...]:
@@ -119,10 +118,6 @@ class CameraRuntime:
             actions = actions_override
         elif mode == "full":
             actions = np.ones(self.grid.shape, dtype=np.uint8)
-        elif mode == "static_mask":
-            if self.static_mask is None:
-                raise RuntimeError("static_mask mode needs a profiled mask")
-            actions = self.static_mask
         elif self.agent is not None:
             frame = render_view_image(scene, self.camera)
             actions = self.agent.act(frame, frame_id, self.view_state.last_refresh).actions
@@ -153,9 +148,10 @@ class ServerEngine:
         self.grid = cfg.grid
         self.tracker = GroundTracker(cfg.tracker)
         self.acc = MetricAccumulator(cfg.match_radius)
+        # one entry per completed frame: the run's only count of frames,
+        # blocks and bytes, from which the report derives every total
         self.series_blocks: list[int] = []
         self.series_bytes: list[float] = []
-        self.completed_frames = 0
 
     def process(
         self,
@@ -178,10 +174,8 @@ class ServerEngine:
         )
         blocks = sum(updates[cam].payload_blocks for cam in cam_ids)
         traffic = sum(account_traffic(updates[cam], cfg) for cam in cam_ids)
-        self.acc.add_frame_resources(blocks, traffic)
         self.series_blocks.append(blocks)
         self.series_bytes.append(traffic)
-        self.completed_frames += 1
 
         if cfg.mode == "blockcopy":
             taus = {cam: cfg.blockcopy_tau for cam in cam_ids}
@@ -201,8 +195,16 @@ class ServerEngine:
     def report(self) -> dict:
         cfg = self.cfg
         n_cam = len(cfg.cameras)
-        scores = self.acc.finalize(n_cameras=n_cam)
-        bytes_per_frame = scores.get("bytes_per_frame") or 0.0
+        n = len(self.series_blocks)
+        blocks, traffic = sum(self.series_blocks), sum(self.series_bytes)
+        scores = self.acc.finalize()
+        scores.update(
+            frames=n,
+            blocks_per_frame_total=blocks / n if n else None,
+            blocks_per_camera_frame=blocks / (n * n_cam) if n else None,
+            bytes_per_frame=traffic / n if n else None,
+        )
+        bytes_per_frame = scores["bytes_per_frame"] or 0.0
         net = cfg.network
         transmission_ms = 1000.0 * bytes_per_frame / net.bandwidth_bytes_per_s
         return {
@@ -211,7 +213,7 @@ class ServerEngine:
             "mode": cfg.mode,
             "seed": cfg.seed,
             "frames": cfg.frames,
-            "completed_frames": self.completed_frames,
+            "completed_frames": n,
             "n_cameras": n_cam,
             "k_views": cfg.k_views,
             "grid": {
@@ -254,24 +256,20 @@ def profile_static_masks(cfg: RunConfig) -> dict[int, np.ndarray]:
 def run_sim(cfg: RunConfig) -> dict:
     """Deterministic single-process run of the full pipeline; returns the
     run report."""
-    static_masks: dict[int, np.ndarray] | None = None
+    # the baselines' masks, per camera: profiled once for static_mask, chosen
+    # per frame from ground truth for oracle
+    overrides: dict[int, np.ndarray] | None = None
     if cfg.mode == "static_mask":
-        static_masks = profile_static_masks(cfg)
+        overrides = profile_static_masks(cfg)
 
     source = SceneSource(cfg)
-    runtimes = [
-        CameraRuntime(
-            cfg, cam, static_masks[cam.camera_id] if static_masks else None
-        )
-        for cam in cfg.cameras
-    ]
+    runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
     engine = ServerEngine(cfg)
 
     for t in range(cfg.frames):
         scene = source.frame(t)
         gt_ground = scene.ground_points()
 
-        oracle_masks = None
         gts: dict[int, GtView] = {}
         if cfg.mode == "oracle":
             gts = {rt.camera.camera_id: ground_truth_view(scene, rt.camera) for rt in runtimes}
@@ -279,7 +277,7 @@ def run_sim(cfg: RunConfig) -> dict:
                 rt.camera.camera_id: list(rt.candidate_detections(gts[rt.camera.camera_id], t))
                 for rt in runtimes
             }
-            oracle_masks = oracle_select(
+            overrides = oracle_select(
                 [p for _, p in gt_ground],
                 candidates,
                 cfg.k_views,
@@ -290,7 +288,7 @@ def run_sim(cfg: RunConfig) -> dict:
         updates = {}
         for rt in runtimes:
             cam_id = rt.camera.camera_id
-            override = oracle_masks[cam_id] if oracle_masks is not None else None
+            override = overrides[cam_id] if overrides is not None else None
             updates[cam_id] = rt.begin_frame(
                 scene, t, actions_override=override, gt=gts.get(cam_id)
             )

@@ -36,7 +36,6 @@ class Track:
     track_id: int
     mean: np.ndarray  # (4,) x, y, vx, vy
     cov: np.ndarray  # (4, 4)
-    age: int = 0
     hits: int = 1
     misses: int = 0
 
@@ -120,7 +119,6 @@ class GroundTracker:
         for t, mean, cov in zip(self.tracks, means, covs):
             t.mean = mean
             t.cov = cov
-            t.age += 1
 
     def associate_and_update(self, fused: list[GroundPoint]) -> None:
         """Match predicted tracks to the frame's fused ground points inside

@@ -1,4 +1,7 @@
 import json
+import socket
+import threading
+import time
 
 import pytest
 import yaml
@@ -11,6 +14,7 @@ from mvsparse.runtime.config import (
     default_cameras,
     save_config,
 )
+from mvsparse.runtime.protocol import Hello, send_message
 from test_distributed import free_port
 
 
@@ -137,4 +141,34 @@ def test_serve_without_cameras_exits_with_network_failure(tmp_path, capsys):
     code = main(["serve", "--config", str(cfg_path), "--port", str(free_port()), "--out", str(out)])
     assert code == EXIT_NETWORK
     assert "network failure" in capsys.readouterr().err
+    assert json.loads(out.read_text())["completed_frames"] == 0
+
+
+def test_serve_with_a_duplicate_camera_exits_with_network_failure(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    out = tmp_path / "partial.json"
+    cfg = write_small_cfg(cfg_path)
+    save_config(cfg.with_overrides(network=NetworkConfig(frame_timeout_s=5.0)), str(cfg_path))
+    port = free_port()
+    codes = []
+    argv = ["serve", "--config", str(cfg_path), "--port", str(port), "--out", str(out)]
+    server = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    server.start()
+
+    def connect():
+        for _ in range(200):  # until the server listens
+            try:
+                return socket.create_connection(("127.0.0.1", port), timeout=5.0)
+            except ConnectionRefusedError:
+                time.sleep(0.02)
+        raise AssertionError("server never listened")
+
+    socks = [connect(), connect()]
+    for sock in socks:
+        send_message(sock, Hello(0))
+    server.join(30.0)
+    for sock in socks:
+        sock.close()
+    assert codes == [EXIT_NETWORK]
+    assert "duplicate camera 0" in capsys.readouterr().err
     assert json.loads(out.read_text())["completed_frames"] == 0

@@ -10,7 +10,13 @@ from mvsparse.runtime.distributed import (
     run_camera_node,
     run_server,
 )
-from mvsparse.runtime.protocol import Hello, ServerFeedback, read_message, send_message
+from mvsparse.runtime.protocol import (
+    BlockUpdate,
+    Hello,
+    ServerFeedback,
+    read_message,
+    send_message,
+)
 from mvsparse.runtime.report import dumps_report
 from mvsparse.runtime.simulation import run_sim
 
@@ -130,6 +136,23 @@ class TestFailurePaths:
         assert not thread.is_alive()
         err = box["error"]
         assert isinstance(err, ConnectionLost)
+        assert "camera 0, frame 0: timed out" in str(err)
+        assert err.partial_report["completed_frames"] == 0
+
+    def test_update_for_another_frame_ends_the_run_with_a_partial_report(self):
+        cfg = two_camera_cfg(frames=3, mode="full", timeout=5.0).with_overrides(
+            cameras=tuple(default_cameras()[:1])
+        )
+        port = free_port()
+        thread, box = serve_in_thread(cfg, port)
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        send_message(sock, Hello(0))
+        send_message(sock, BlockUpdate(1, 0, np.ones(cfg.grid.shape, dtype=np.uint8), ()))
+        thread.join(30.0)
+        sock.close()
+        err = box["error"]
+        assert isinstance(err, ConnectionLost)
+        assert "camera 0, frame 0: update for frame 1" in str(err)
         assert err.partial_report["completed_frames"] == 0
 
     def test_camera_that_never_connects_ends_the_run_with_a_partial_report(self):
@@ -156,7 +179,8 @@ class TestFailurePaths:
         second = socket.create_connection(("127.0.0.1", port), timeout=5.0)
         send_message(second, Hello(0))
         thread.join(30.0)
-        assert "duplicate camera 0" in str(box["error"])
+        assert "accepting cameras: duplicate camera 0" in str(box["error"])
+        assert box["error"].partial_report["completed_frames"] == 0
         assert second.recv(1) == b""  # closed by the server, not kept open
         first.close()
         second.close()

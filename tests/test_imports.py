@@ -1,5 +1,5 @@
-"""No module in src/ or tests/ imports a name it never uses, and no
-function, class or method of the package is left for the tests alone.
+"""No module in src/, tests/ or perfbench/ imports a name it never uses, and
+no function, class or method of the package is left for the tests alone.
 
 Package ``__init__.py`` files are skipped by the import check: their imports
 are the public re-exports. A name counts as used when it appears as a name
@@ -14,7 +14,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    p for p in [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")] if p.name != "__init__.py"
+    p
+    for p in [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")]
+    if p.name != "__init__.py"
 )
 # the program: the package and the benchmark harness that drives it
 PROGRAM = sorted(

@@ -113,12 +113,10 @@ class TestTrackingAccumulation:
 class TestFinalize:
     def test_empty_run_yields_sentinels(self):
         # the partial report of a run that completed no frame carries these
-        assert MetricAccumulator().finalize(n_cameras=4) == {
+        assert MetricAccumulator().finalize() == {
             "moda": None, "modp": None, "precision": None, "recall": None,
             "mota": None, "idf1": None, "id_switches": 0, "gt_total": 0,
-            "tp": 0, "fp": 0, "fn": 0, "blocks_per_frame_total": None,
-            "blocks_per_camera_frame": None, "bytes_per_frame": None,
-            "frames": 0,
+            "tp": 0, "fp": 0, "fn": 0,
         }
 
     def test_zero_gt_yields_sentinels(self):
@@ -129,16 +127,6 @@ class TestFinalize:
         assert report["moda"] is None
         assert report["mota"] is None
         assert report["precision"] is None
-
-    def test_resource_averages(self):
-        acc = MetricAccumulator()
-        acc.accumulate_detection_frame([G(0, 0)], [G(0, 0)])
-        acc.add_frame_resources(blocks=90, traffic_bytes=1000.0)
-        acc.add_frame_resources(blocks=90, traffic_bytes=3000.0)
-        report = acc.finalize(n_cameras=2)
-        assert report["blocks_per_frame_total"] == pytest.approx(90.0)
-        assert report["blocks_per_camera_frame"] == pytest.approx(45.0)
-        assert report["bytes_per_frame"] == pytest.approx(2000.0)
 
 
 def det_with_blocks(cam, gx, gy, x, y, w=60.0, h=90.0):

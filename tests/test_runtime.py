@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mvsparse.runtime.config import (
+    MODES,
     ConfigError,
     RunConfig,
     camera_from_dict,
@@ -274,6 +275,25 @@ class TestModes:
         series = report["series"]["blocks"]
         assert len(set(series)) == 1
         assert 0 < series[0] <= 45 * 2
+
+    def test_report_totals_are_the_series_means(self):
+        # the per-frame series are the run's only count of frames, blocks
+        # and bytes; a run that completed no frame reports None ratios
+        empty = ServerEngine(small_cfg()).report()
+        assert empty["completed_frames"] == empty["scores"]["frames"] == 0
+        for key in ("blocks_per_frame_total", "blocks_per_camera_frame", "bytes_per_frame"):
+            assert empty["scores"][key] is None
+        for mode in MODES:
+            cfg = small_cfg(mode=mode, frames=5)
+            report = run_sim(cfg)
+            scores, series = report["scores"], report["series"]
+            blocks, traffic = series["blocks"], series["bytes"]
+            n = len(blocks)
+            assert report["completed_frames"] == scores["frames"] == n == len(traffic) == 5
+            assert scores["blocks_per_frame_total"] == sum(blocks) / n
+            assert scores["blocks_per_camera_frame"] == sum(blocks) / (n * len(cfg.cameras))
+            assert scores["bytes_per_frame"] == sum(traffic) / n
+            assert report["resources"]["mb_per_frame"] == scores["bytes_per_frame"] / 1e6
 
     def test_blockcopy_runs_and_reports(self):
         report = run_sim(small_cfg(mode="blockcopy", frames=20))

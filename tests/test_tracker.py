@@ -78,7 +78,6 @@ def test_stacked_predict_equals_the_per_track_loop(raw, dt, q):
     for track, (mean, cov) in zip(tracker.tracks, loop_predict(tracks, dt, q)):
         assert np.array_equal(track.mean, mean)
         assert np.array_equal(track.cov, cov)
-        assert track.age == 1
 
 
 class TestAssociateAndUpdate:
