@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .detector import Detection
-from .geometry import BlockGrid, GroundPoint, bbox_block_mask, gated_distances
+from .geometry import GroundPoint, gated_distances
 
 
 @dataclass
@@ -41,18 +41,6 @@ class Cluster:
         if any(d.camera_id == det.camera_id for d in self.members):
             raise ValueError(f"cluster already holds camera {det.camera_id}")
         self.members.append(det)
-
-
-@dataclass(frozen=True)
-class TopKSelection:
-    """Per-camera top-K assignment: detections kept per view and the block
-    mask they induce."""
-
-    selected: dict[int, tuple[Detection, ...]]  # camera_id -> gamma_c
-    masks: dict[int, np.ndarray]  # camera_id -> (rows, cols) uint8
-
-    def count(self, camera_id: int) -> int:
-        return len(self.selected.get(camera_id, ()))
 
 
 def match_bipartite(
@@ -110,16 +98,17 @@ def cluster_detections(views: list[tuple[Detection, ...]], eps: float) -> list[C
 
 
 def assign_cameras(
-    clusters: list[Cluster], k: int, grid: BlockGrid, camera_ids: list[int]
-) -> TopKSelection:
-    """Keep the K largest-box members of every cluster and build per-camera
-    block masks from the kept boxes. Ties in area go to the lower camera_id."""
+    clusters: list[Cluster], k: int, camera_ids: list[int]
+) -> dict[int, tuple[Detection, ...]]:
+    """Keep the K largest-box members of every cluster: camera_id -> the
+    detections assigned to that view (gamma_c), in cluster order. Ties in
+    area go to the lower camera_id. Each camera derives its block mask from
+    its assigned boxes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     selected: dict[int, list[Detection]] = {c: [] for c in camera_ids}
     for cluster in clusters:
         ranked = sorted(cluster.members, key=lambda d: (-d.bbox.area, d.camera_id))
-        for det in ranked[: min(k, len(ranked))]:
-            selected.setdefault(det.camera_id, []).append(det)
-    masks = {c: bbox_block_mask(grid, [d.bbox for d in selected[c]]) for c in sorted(selected)}
-    return TopKSelection({c: tuple(v) for c, v in selected.items()}, masks)
+        for det in ranked[:k]:
+            selected[det.camera_id].append(det)
+    return {c: tuple(v) for c, v in selected.items()}

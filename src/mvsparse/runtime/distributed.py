@@ -2,10 +2,12 @@
 over TCP.
 
 The server collects all cameras' updates for a frame (frame barrier,
-processed in camera_id order), runs the per-frame engine and broadcasts
-feedback. Camera nodes own their policy agent and detector state and learn
-locally. Both sides rebuild the scene deterministically from the config, so
-no ground truth crosses the wire, and with a fixed seed a distributed run
+processed in camera_id order), runs the per-frame engine and sends each
+camera its feedback: the target tau and its assigned boxes. Camera nodes own
+their policy agent and detector state, derive the block mask of their
+assigned boxes and learn locally. A run ends with the last frame's feedback.
+Both sides rebuild the scene deterministically from the config, so no
+ground truth crosses the wire, and with a fixed seed a distributed run
 reproduces the single-process report bit for bit.
 
 Supported modes: full, blockcopy, mvsparse. The oracle and static_mask
@@ -21,7 +23,6 @@ import time
 from .config import ConfigError, RunConfig
 from .protocol import (
     BlockUpdate,
-    EndOfSequence,
     Hello,
     ProtocolError,
     ServerFeedback,
@@ -57,7 +58,8 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
     final report. Every early end raises ConnectionLost with the partial
     report and names the camera and frame being served, or the accept phase:
     a lost connection, a camera silent for ``frame_timeout_s`` (the socket
-    timeout), an unknown or duplicate camera, or an out-of-order message."""
+    timeout), an unknown or duplicate camera, an out-of-order message, or an
+    update that names another camera or carries another block grid."""
     _check_mode(cfg)
     n_cameras = len(cfg.cameras)
     engine = ServerEngine(cfg)
@@ -98,18 +100,14 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
                     raise ConnectionLost(f"unexpected {type(msg).__name__}")
                 if msg.frame_id != t:
                     raise ConnectionLost(f"update for frame {msg.frame_id}")
+                if msg.camera_id != cam_id or msg.actions.shape != engine.grid.shape:
+                    raise ConnectionLost(
+                        f"update from camera {msg.camera_id} on block grid {msg.actions.shape}"
+                    )
                 updates[cam_id] = msg
             feedbacks = engine.process(t, updates, scene.ground_points())
             for cam_id in cfg.camera_ids:
                 send_message(conns[cam_id], feedbacks[cam_id])
-
-        for cam_id, sock in conns.items():
-            try:
-                msg = read_message(sock)
-                if not isinstance(msg, EndOfSequence):
-                    logger.warning("camera %d: expected end-of-sequence", cam_id)
-            except (ProtocolError, OSError):
-                logger.warning("camera %d closed without end-of-sequence", cam_id)
         return engine.report()
     except (ProtocolError, OSError, ConnectionLost) as exc:
         where = "accepting cameras" if t is None else f"camera {cam_id}, frame {t}"
@@ -147,7 +145,6 @@ def run_camera_node(
             ):
                 raise ConnectionLost(f"camera {camera_id}: bad feedback at frame {t}")
             runtime.end_frame(t, feedback)
-        send_message(sock, EndOfSequence(camera_id))
     except (ProtocolError, OSError) as exc:
         raise ConnectionLost(str(exc)) from exc
     finally:

@@ -5,6 +5,12 @@ Frame layout: 4-byte magic ``MVSP``, 1-byte version, 1-byte message type,
 floats are little-endian; block bitmaps are row-major with little-endian
 bit order inside each byte. Messages are immutable after construction and
 safe to hand across threads.
+
+Wire version 3 has three message types: a camera's ``Hello``, its
+``BlockUpdate`` per frame (block bitmap and detection records) and the
+server's ``ServerFeedback`` per frame (target tau and the assigned boxes,
+from which the camera derives their block mask). A run ends with the last
+frame's feedback; there is no end-of-sequence message.
 """
 
 from __future__ import annotations
@@ -18,17 +24,16 @@ from ..detector import Detection
 from ..geometry import BBox, GroundPoint
 
 MAGIC = b"MVSP"
-VERSION = 2
+VERSION = 3
 
 TYPE_HELLO = 1
 TYPE_BLOCK_UPDATE = 2
 TYPE_SERVER_FEEDBACK = 3
-TYPE_END_OF_SEQUENCE = 4
 
 _HEADER = struct.Struct("<4sBBI")
-_CAMERA_ID = struct.Struct("<H")  # the whole payload of hello and end-of-sequence
+_CAMERA_ID = struct.Struct("<H")  # the whole payload of hello
 _UPDATE_HEAD = struct.Struct("<IHBBH")  # frame, camera, rows, cols, detections
-_FEEDBACK_HEAD = struct.Struct("<IHBBdH")  # frame, camera, rows, cols, tau, boxes
+_FEEDBACK_HEAD = struct.Struct("<IHdH")  # frame, camera, tau, boxes
 _DET = struct.Struct("<6ddB")  # bbox x,y,w,h + ground x,y + score + stale flag
 _BOX = struct.Struct("<4d")
 
@@ -68,11 +73,6 @@ class Hello:
     camera_id: int
 
 
-@dataclass(frozen=True)
-class EndOfSequence:
-    camera_id: int
-
-
 @dataclass(frozen=True, eq=False)
 class BlockUpdate:
     """Camera -> server, one per frame: actions plus the view's detections.
@@ -101,29 +101,19 @@ class BlockUpdate:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ServerFeedback:
-    """Server -> camera, one per frame: the view's processing target, its
-    top-K assigned boxes and their induced block mask."""
+    """Server -> camera, one per frame: the view's processing target and the
+    top-K boxes assigned to it. The camera derives the boxes' block mask on
+    its own grid."""
 
     frame_id: int
     camera_id: int
     tau: float
     topk_boxes: tuple[BBox, ...]
-    mask: np.ndarray  # (rows, cols) in {0, 1}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ServerFeedback)
-            and self.frame_id == other.frame_id
-            and self.camera_id == other.camera_id
-            and self.tau == other.tau
-            and self.topk_boxes == other.topk_boxes
-            and np.array_equal(self.mask, other.mask)
-        )
 
 
-Message = Hello | EndOfSequence | BlockUpdate | ServerFeedback
+Message = Hello | BlockUpdate | ServerFeedback
 
 
 def _pack_bitmap(grid_array: np.ndarray) -> bytes:
@@ -145,9 +135,8 @@ _MAX_BITMAP = _bitmap_nbytes(MAX_GRID_SIDE, MAX_GRID_SIDE)
 # Largest payload of each message type.
 MAX_PAYLOAD = {
     TYPE_HELLO: _CAMERA_ID.size,
-    TYPE_END_OF_SEQUENCE: _CAMERA_ID.size,
     TYPE_BLOCK_UPDATE: _UPDATE_HEAD.size + _MAX_BITMAP + _MAX_COUNT * _DET.size,
-    TYPE_SERVER_FEEDBACK: _FEEDBACK_HEAD.size + _MAX_BITMAP + _MAX_COUNT * _BOX.size,
+    TYPE_SERVER_FEEDBACK: _FEEDBACK_HEAD.size + _MAX_COUNT * _BOX.size,
 }
 
 
@@ -184,9 +173,9 @@ def _decode_detections(
 
 
 def encode_message(msg: Message) -> bytes:
-    if isinstance(msg, (Hello, EndOfSequence)):
-        mtype = TYPE_HELLO if isinstance(msg, Hello) else TYPE_END_OF_SEQUENCE
+    if isinstance(msg, Hello):
         payload = _CAMERA_ID.pack(msg.camera_id)
+        mtype = TYPE_HELLO
     elif isinstance(msg, BlockUpdate):
         rows, cols = msg.actions.shape
         payload = _UPDATE_HEAD.pack(msg.frame_id, msg.camera_id, rows, cols, len(msg.detections))
@@ -194,11 +183,7 @@ def encode_message(msg: Message) -> bytes:
         payload += _encode_detections(msg.detections)
         mtype = TYPE_BLOCK_UPDATE
     elif isinstance(msg, ServerFeedback):
-        rows, cols = msg.mask.shape
-        payload = _FEEDBACK_HEAD.pack(
-            msg.frame_id, msg.camera_id, rows, cols, msg.tau, len(msg.topk_boxes)
-        )
-        payload += _pack_bitmap(msg.mask)
+        payload = _FEEDBACK_HEAD.pack(msg.frame_id, msg.camera_id, msg.tau, len(msg.topk_boxes))
         for b in msg.topk_boxes:
             payload += _BOX.pack(b.x, b.y, b.w, b.h)
         mtype = TYPE_SERVER_FEEDBACK
@@ -207,46 +192,40 @@ def encode_message(msg: Message) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, mtype, len(payload)) + payload
 
 
-def _decode_grid_payload(payload: bytes, head: struct.Struct, record_size: int):
-    """Shared layout of updates and feedback: a fixed head whose fields 2 and
-    3 are the grid rows and cols and whose last field counts the records of
-    ``record_size`` bytes, then the block bitmap, then the records.
-
-    Returns (head fields, bitmap, offset of the first record). Only the
-    canonical encoding decodes: the bitmap's padding bits must be zero and
-    the payload must end at the last record.
-    """
-    if len(payload) < head.size:
-        raise TruncatedFrame("payload shorter than its fixed header")
-    fields = head.unpack_from(payload)
-    rows, cols = fields[2], fields[3]
-    if rows == 0 or cols == 0:
-        raise MalformedPayload("empty block grid")
-    off = head.size + _bitmap_nbytes(rows, cols)
-    if len(payload) < off:
-        raise TruncatedFrame("bitmap truncated")
-    bitmap = np.frombuffer(payload, np.uint8, off - head.size, head.size)
-    bits = np.unpackbits(bitmap, bitorder="little")
-    if bits[rows * cols :].any():
-        raise MalformedPayload("nonzero bitmap padding bits")
-    end = off + fields[-1] * record_size
+def _check_records(payload: bytes, off: int, count: int, record_size: int) -> None:
+    """The payload must hold exactly ``count`` records of ``record_size``
+    bytes from ``off`` on, and end at the last of them."""
+    end = off + count * record_size
     if len(payload) < end:
         raise TruncatedFrame("records shorter than their counts")
     if len(payload) > end:
         raise MalformedPayload(f"{len(payload) - end} bytes after the last record")
-    return fields, bits[: rows * cols].reshape(rows, cols), off
 
 
 def _decode_block_update(payload: bytes) -> BlockUpdate:
-    fields, actions, off = _decode_grid_payload(payload, _UPDATE_HEAD, _DET.size)
-    frame_id, camera_id, _, _, n_dets = fields
+    """A fixed head, then the block bitmap of the grid the head declares,
+    then the detection records. Only the canonical encoding decodes: the
+    bitmap's padding bits must be zero and the payload must end at the last
+    record."""
+    frame_id, camera_id, rows, cols, n_dets = _UPDATE_HEAD.unpack_from(payload)
+    if rows == 0 or cols == 0:
+        raise MalformedPayload("empty block grid")
+    off = _UPDATE_HEAD.size + _bitmap_nbytes(rows, cols)
+    if len(payload) < off:
+        raise TruncatedFrame("bitmap truncated")
+    bitmap = np.frombuffer(payload, np.uint8, off - _UPDATE_HEAD.size, _UPDATE_HEAD.size)
+    bits = np.unpackbits(bitmap, bitorder="little")
+    if bits[rows * cols :].any():
+        raise MalformedPayload("nonzero bitmap padding bits")
+    _check_records(payload, off, n_dets, _DET.size)
     dets = _decode_detections(payload, off, n_dets, camera_id)
-    return BlockUpdate(frame_id, camera_id, actions, dets)
+    return BlockUpdate(frame_id, camera_id, bits[: rows * cols].reshape(rows, cols), dets)
 
 
 def _decode_server_feedback(payload: bytes) -> ServerFeedback:
-    fields, mask, off = _decode_grid_payload(payload, _FEEDBACK_HEAD, _BOX.size)
-    frame_id, camera_id, _, _, tau, n_topk = fields
+    frame_id, camera_id, tau, n_topk = _FEEDBACK_HEAD.unpack_from(payload)
+    off = _FEEDBACK_HEAD.size
+    _check_records(payload, off, n_topk, _BOX.size)
     boxes = []
     for i in range(n_topk):
         x, y, w, h = _BOX.unpack_from(payload, off + _BOX.size * i)
@@ -254,7 +233,7 @@ def _decode_server_feedback(payload: bytes) -> ServerFeedback:
             boxes.append(BBox(x, y, w, h))
         except ValueError as exc:
             raise MalformedPayload(f"feedback box {i}: {exc}") from exc
-    return ServerFeedback(frame_id, camera_id, tau, tuple(boxes), mask)
+    return ServerFeedback(frame_id, camera_id, tau, tuple(boxes))
 
 
 def _parse_header(data: bytes) -> tuple[int, int]:
@@ -284,16 +263,13 @@ def decode_message(data: bytes) -> tuple[Message, int]:
         raise TruncatedFrame(f"payload length {length} exceeds buffer")
     payload = data[_HEADER.size : _HEADER.size + length]
     try:
-        if mtype in (TYPE_HELLO, TYPE_END_OF_SEQUENCE):
-            if len(payload) < _CAMERA_ID.size:
-                raise TruncatedFrame("camera-id payload too short")
-            (camera_id,) = _CAMERA_ID.unpack_from(payload)
-            msg: Message = (Hello if mtype == TYPE_HELLO else EndOfSequence)(camera_id)
+        if mtype == TYPE_HELLO:
+            msg: Message = Hello(*_CAMERA_ID.unpack_from(payload))
         elif mtype == TYPE_BLOCK_UPDATE:
             msg = _decode_block_update(payload)
         else:
             msg = _decode_server_feedback(payload)
-    except struct.error as exc:
+    except struct.error as exc:  # a payload shorter than its fixed head
         raise TruncatedFrame(str(exc)) from exc
     return msg, _HEADER.size + length
 

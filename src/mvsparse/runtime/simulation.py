@@ -13,7 +13,7 @@ import numpy as np
 from .. import rng as rngmod
 from ..association import assign_cameras, cluster_detections
 from ..detector import Detection, ViewState, fuse_ground_plane, simulate_view_detections
-from ..geometry import CameraModel, GroundPoint
+from ..geometry import CameraModel, GroundPoint, bbox_block_mask
 from ..metrics import MetricAccumulator, oracle_select
 from ..policy import PolicyAgent, target_cost
 from ..scene import (
@@ -130,13 +130,21 @@ class CameraRuntime:
         return BlockUpdate(frame_id, self.camera.camera_id, actions, dets)
 
     def end_frame(self, frame_id: int, feedback: ServerFeedback) -> None:
+        """Learn from the frame's outcome. An ``mvsparse`` agent takes the
+        server's target and assigned boxes and derives the boxes' block mask
+        on its own grid; a ``blockcopy`` agent ignores the feedback and
+        learns against its fixed target with an all-ones mask and no boxes."""
         dets = self._pending
         self._pending = None
         if self.agent is None or dets is None:
             return
-        self.agent.finish_frame(
-            frame_id, dets, feedback.topk_boxes, np.asarray(feedback.mask), feedback.tau
-        )
+        if self.cfg.mode == "blockcopy":
+            tau, boxes = self.cfg.blockcopy_tau, ()
+            mask = np.ones(self.grid.shape, dtype=np.uint8)
+        else:
+            tau, boxes = feedback.tau, feedback.topk_boxes
+            mask = bbox_block_mask(self.grid, boxes)
+        self.agent.finish_frame(frame_id, dets, boxes, mask, tau)
 
 
 class ServerEngine:
@@ -162,7 +170,7 @@ class ServerEngine:
         cfg = self.cfg
         cam_ids = cfg.camera_ids
         clusters = cluster_detections([updates[cam].detections for cam in cam_ids], cfg.cluster_eps)
-        topk = assign_cameras(clusters, cfg.k_views, self.grid, cam_ids)
+        selected = assign_cameras(clusters, cfg.k_views, cam_ids)
         fused = fuse_ground_plane(clusters)
 
         self.tracker.predict(cfg.dt)
@@ -177,18 +185,9 @@ class ServerEngine:
         self.series_blocks.append(blocks)
         self.series_bytes.append(traffic)
 
-        if cfg.mode == "blockcopy":
-            taus = {cam: cfg.blockcopy_tau for cam in cam_ids}
-            masks = {cam: np.ones(self.grid.shape, dtype=np.uint8) for cam in cam_ids}
-            boxes = {cam: () for cam in cam_ids}
-        else:
-            taus = target_cost({cam: topk.count(cam) for cam in cam_ids})
-            masks = topk.masks
-            boxes = {
-                cam: tuple(d.bbox for d in topk.selected.get(cam, ())) for cam in cam_ids
-            }
+        taus = target_cost({cam: len(selected[cam]) for cam in cam_ids})
         return {
-            cam: ServerFeedback(frame_id, cam, taus[cam], boxes[cam], masks[cam])
+            cam: ServerFeedback(frame_id, cam, taus[cam], tuple(d.bbox for d in selected[cam]))
             for cam in cam_ids
         }
 
@@ -238,7 +237,8 @@ class ServerEngine:
 
 def profile_static_masks(cfg: RunConfig) -> dict[int, np.ndarray]:
     """Offline profiling for static_mask mode: run the first frames fully
-    processed and freeze the union of each view's assignment masks."""
+    processed and freeze the union of the block masks of each view's
+    assigned boxes."""
     source = SceneSource(cfg)
     runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
     union = {cam: np.zeros(cfg.grid.shape, dtype=np.uint8) for cam in cfg.camera_ids}
@@ -247,9 +247,9 @@ def profile_static_masks(cfg: RunConfig) -> dict[int, np.ndarray]:
         scene = source.frame(t)
         updates = [rt.begin_frame(scene, t, actions_override=ones) for rt in runtimes]
         clusters = cluster_detections([u.detections for u in updates], cfg.cluster_eps)
-        topk = assign_cameras(clusters, cfg.k_views, cfg.grid, cfg.camera_ids)
+        selected = assign_cameras(clusters, cfg.k_views, cfg.camera_ids)
         for cam in cfg.camera_ids:
-            union[cam] |= topk.masks[cam]
+            union[cam] |= bbox_block_mask(cfg.grid, [d.bbox for d in selected[cam]])
     return union
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from mvsparse.association import Cluster, assign_cameras, cluster_detections, match_bipartite
 from mvsparse.detector import Detection
-from mvsparse.geometry import BBox, BlockGrid, GroundPoint
+from mvsparse.geometry import BBox, BlockGrid, GroundPoint, bbox_block_mask
 from test_geometry import blocks_for_bbox
 
 
@@ -182,32 +182,30 @@ class TestAssignCameras:
         )
 
     def test_top2_by_area(self):
-        grid = BlockGrid.for_image(1152, 640, 128)
         cluster = self._cluster({1: 2000.0, 2: 5000.0, 3: 1000.0})
-        sel = assign_cameras([cluster], k=2, grid=grid, camera_ids=[1, 2, 3])
-        assert sel.count(2) == 1 and sel.count(1) == 1 and sel.count(3) == 0
+        sel = assign_cameras([cluster], k=2, camera_ids=[1, 2, 3])
+        assert len(sel[2]) == 1 and len(sel[1]) == 1 and len(sel[3]) == 0
 
     def test_k_saturation_selects_everyone(self):
-        grid = BlockGrid.for_image(1152, 640, 128)
         cluster = self._cluster({0: 2000.0, 1: 500.0, 2: 900.0})
-        sel = assign_cameras([cluster], k=5, grid=grid, camera_ids=[0, 1, 2])
-        assert all(sel.count(c) == 1 for c in (0, 1, 2))
+        sel = assign_cameras([cluster], k=5, camera_ids=[0, 1, 2])
+        assert all(len(sel[c]) == 1 for c in (0, 1, 2))
 
     def test_area_tie_breaks_to_lower_camera(self):
-        grid = BlockGrid.for_image(1152, 640, 128)
         cluster = self._cluster({4: 3000.0, 2: 3000.0})
-        sel = assign_cameras([cluster], k=1, grid=grid, camera_ids=[2, 4])
-        assert sel.count(2) == 1 and sel.count(4) == 0
+        sel = assign_cameras([cluster], k=1, camera_ids=[2, 4])
+        assert len(sel[2]) == 1 and len(sel[4]) == 0
 
     def test_mask_matches_selected_boxes(self):
         grid = BlockGrid.for_image(1152, 640, 128)
         clusters = [self._cluster({0: 1500.0, 1: 2500.0}), self._cluster({1: 700.0})]
-        sel = assign_cameras(clusters, k=1, grid=grid, camera_ids=[0, 1])
+        sel = assign_cameras(clusters, k=1, camera_ids=[0, 1])
         for cam in (0, 1):
             expected = set()
-            for d in sel.selected[cam]:
+            for d in sel[cam]:
                 expected |= blocks_for_bbox(grid, d.bbox)
-            got = {tuple(rc) for rc in np.argwhere(sel.masks[cam])}
+            mask = bbox_block_mask(grid, [d.bbox for d in sel[cam]])
+            got = {tuple(rc) for rc in np.argwhere(mask)}
             assert got == expected
 
     def test_blocks_monotone_in_k(self):
@@ -229,17 +227,17 @@ class TestAssignCameras:
         clusters = cluster_detections(views, eps=2.0)
         prev = None
         for k in (1, 2, 3):
-            sel = assign_cameras(clusters, k=k, grid=grid, camera_ids=[0, 1, 2])
-            total = {cam: set(map(tuple, np.argwhere(sel.masks[cam]))) for cam in (0, 1, 2)}
+            sel = assign_cameras(clusters, k=k, camera_ids=[0, 1, 2])
+            masks = {cam: bbox_block_mask(grid, [d.bbox for d in sel[cam]]) for cam in (0, 1, 2)}
+            total = {cam: set(map(tuple, np.argwhere(masks[cam]))) for cam in (0, 1, 2)}
             if prev is not None:
                 for cam in (0, 1, 2):
                     assert prev[cam] <= total[cam]
             prev = total
 
     def test_rejects_k_zero(self):
-        grid = BlockGrid.for_image(1152, 640, 128)
         with pytest.raises(ValueError):
-            assign_cameras([], k=0, grid=grid, camera_ids=[0])
+            assign_cameras([], k=0, camera_ids=[0])
 
 
 class TestCluster:

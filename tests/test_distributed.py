@@ -92,8 +92,9 @@ def serve_in_thread(cfg, port):
 
 
 class TestDistributedEquivalence:
-    def test_loopback_run_matches_single_process_bit_for_bit(self):
-        cfg = two_camera_cfg(frames=30)
+    @pytest.mark.parametrize("mode", ["mvsparse", "blockcopy"])
+    def test_loopback_run_matches_single_process_bit_for_bit(self, mode):
+        cfg = two_camera_cfg(frames=30, mode=mode)
         local = run_sim(cfg)
         remote = run_distributed(cfg, free_port())
         assert dumps_report(remote) == dumps_report(local)
@@ -155,6 +156,32 @@ class TestFailurePaths:
         assert "camera 0, frame 0: update for frame 1" in str(err)
         assert err.partial_report["completed_frames"] == 0
 
+    @pytest.mark.parametrize(
+        "label, block_size",
+        [(0, 128), (1, 64)],
+        ids=["mislabelled-camera-id", "64-pixel-block-grid"],
+    )
+    def test_update_from_another_camera_or_grid_ends_the_run(self, label, block_size):
+        # camera 0 sends a valid update; the connection that said Hello(1)
+        # sends one labelled camera 0, or one on another block grid
+        cfg = two_camera_cfg(frames=3, mode="full", timeout=5.0)
+        port = free_port()
+        thread, box = serve_in_thread(cfg, port)
+        socks = [socket.create_connection(("127.0.0.1", port), timeout=5.0) for _ in range(2)]
+        for cam, sock in enumerate(socks):
+            send_message(sock, Hello(cam))
+        send_message(socks[0], BlockUpdate(0, 0, np.ones(cfg.grid.shape, dtype=np.uint8), ()))
+        grid = cfg.with_overrides(block_size=block_size).grid
+        send_message(socks[1], BlockUpdate(0, label, np.ones(grid.shape, dtype=np.uint8), ()))
+        thread.join(30.0)
+        for sock in socks:
+            sock.close()
+        assert not thread.is_alive()
+        err = box["error"]
+        assert isinstance(err, ConnectionLost)
+        assert "camera 1, frame 0" in str(err)
+        assert err.partial_report["completed_frames"] == 0
+
     def test_camera_that_never_connects_ends_the_run_with_a_partial_report(self):
         # one of two cameras connects; the accept timeout ends the run
         cfg = two_camera_cfg(frames=3, mode="full", timeout=0.4)
@@ -195,8 +222,7 @@ class TestFailurePaths:
             with conn:
                 read_message(conn)  # hello
                 update = read_message(conn)
-                mask = np.zeros(cfg.grid.shape, dtype=np.uint8)
-                send_message(conn, ServerFeedback(update.frame_id, 1, 0.5, (), mask))
+                send_message(conn, ServerFeedback(update.frame_id, 1, 0.5, ()))
                 conn.recv(1)  # hold the connection until the camera hangs up
 
         thread = threading.Thread(target=fake_server, daemon=True)

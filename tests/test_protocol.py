@@ -1,5 +1,6 @@
 import socket
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mvsparse.runtime.protocol import (
     VERSION,
     BadMagic,
     BlockUpdate,
-    EndOfSequence,
     FrameTooLarge,
     Hello,
     MalformedPayload,
@@ -50,10 +50,8 @@ def sample_update(popcount=7, n_dets=3, frame_id=12):
 
 
 def sample_feedback():
-    rng = np.random.default_rng(5)
-    mask = (rng.random((5, 9)) < 0.4).astype(np.uint8)
     boxes = tuple(BBox(10.0 * i + 1, 5.0 * i + 1, 30.0, 60.0) for i in range(4))
-    return ServerFeedback(9, 1, 0.625, boxes, mask)
+    return ServerFeedback(9, 1, 0.625, boxes)
 
 
 class TestRoundTrip:
@@ -61,10 +59,6 @@ class TestRoundTrip:
         msg, used = decode_message(encode_message(Hello(3)))
         assert msg == Hello(3)
         assert used == len(encode_message(Hello(3)))
-
-    def test_end_of_sequence(self):
-        msg, _ = decode_message(encode_message(EndOfSequence(2)))
-        assert msg == EndOfSequence(2)
 
     def test_block_update(self):
         update = sample_update()
@@ -107,13 +101,19 @@ class TestTypedErrors:
         with pytest.raises(VersionMismatch):
             decode_message(bytes(data))
 
-    def test_version_1_feedback_rejected(self):
-        # version 1 feedback carried fused ground points after the boxes
-        assert VERSION == 2
-        data = bytearray(encode_message(sample_feedback()))
-        data[4] = 1
+    def test_version_2_feedback_rejected(self):
+        # version 2 feedback also carried the grid and the boxes' block bitmap
+        assert VERSION == 3
+        boxes = sample_feedback().topk_boxes
+        payload = struct.pack("<IHBBdH", 9, 1, 5, 9, 0.625, len(boxes)) + bytes(6)
+        payload += b"".join(struct.pack("<4d", b.x, b.y, b.w, b.h) for b in boxes)
         with pytest.raises(VersionMismatch):
-            decode_message(bytes(data))
+            decode_message(_header(version=2, mtype=3, length=len(payload)) + payload)
+
+    def test_type_4_is_unknown(self):
+        # version 2's end-of-sequence; version 3 has no such message
+        with pytest.raises(UnknownType):
+            decode_message(_header(mtype=4, length=2) + b"\x02\x00")
 
     def test_unknown_type(self):
         data = bytearray(encode_message(Hello(1)))
@@ -240,7 +240,6 @@ VALID_FRAMES = [
     encode_message(m)
     for m in (
         Hello(3),
-        EndOfSequence(2),
         sample_update(),
         sample_update(popcount=0, n_dets=0),
         sample_feedback(),
@@ -321,3 +320,8 @@ class TestAccountTraffic:
         sparse = wire + 14.43 * per_block
         full = wire + 45.0 * per_block
         assert sparse / full == pytest.approx(0.86 / 2.66, rel=0.02)
+
+
+def test_readme_names_the_wire_version():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert f"wire version {VERSION}" in readme.read_text()
