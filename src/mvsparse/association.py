@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .detector import Detection
-from .geometry import GroundPoint, gated_distances
+from .geometry import GroundPoint, gated_distances, left_sum
 
 
 @dataclass
@@ -33,8 +33,8 @@ class Cluster:
 
     @property
     def center(self) -> GroundPoint:
-        gx = sum(d.ground.x for d in self.members) / len(self.members)
-        gy = sum(d.ground.y for d in self.members) / len(self.members)
+        gx = left_sum(d.ground.x for d in self.members) / len(self.members)
+        gy = left_sum(d.ground.y for d in self.members) / len(self.members)
         return GroundPoint(gx, gy)
 
     def add(self, det: Detection) -> None:

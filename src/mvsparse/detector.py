@@ -110,10 +110,9 @@ def simulate_view_detections(
 
     # detectable gt entries that touch a fresh block are detected afresh;
     # the others may replay the detector's memory
-    entries = gt.entries
     picked: list[int] = []
     waiting: list[int] = []
-    for i, (pid, box, visibility) in enumerate(entries):
+    for i, (pid, box, visibility) in enumerate(gt):
         if visibility < cfg.v_min or box.h < cfg.min_box_height_px:
             continue
         cells = block_range(grid, box)
@@ -122,14 +121,14 @@ def simulate_view_detections(
     # fresh boxes: missed or jittered and clamped, then grounded together;
     # a walker's column 0 decides the miss, columns 1-4 give the edge jitter
     u = rngmod.uniforms(
-        vs.seed, (rngmod.DETECT, cam.camera_id, frame_id), [entries[i][0] for i in picked], 5
+        vs.seed, (rngmod.DETECT, cam.camera_id, frame_id), [gt[i][0] for i in picked], 5
     )
     jitter = (rngmod.normals(u[:, 1:]) * cfg.sigma_px).tolist()
     noisy: list[tuple[int, BBox]] = []
     for i, missed, (n0, n1, n2, n3) in zip(picked, (u[:, 0] < cfg.p_miss).tolist(), jitter):
         if missed:
             continue
-        box = entries[i][1]
+        box = gt[i][1]
         # independent edge jitter: left, top, right, bottom
         jittered = BBox(
             box.x + n0,
@@ -143,13 +142,13 @@ def simulate_view_detections(
     emitted: dict[int, Detection] = {}
     for (i, box), ground, on_ground in zip(noisy, hits.tolist(), (s > 0).tolist()):
         if on_ground:
-            score = float(min(1.0, max(0.0, entries[i][2])))
+            score = float(min(1.0, max(0.0, gt[i][2])))
             emitted[i] = Detection(cam.camera_id, box, GroundPoint(*ground), score, stale=False)
 
     # duplicated features survive only while none of their blocks has been
     # re-executed since capture (a fresh block was, this frame); the ones a
     # fresh detection replaces need no test
-    replaced = {entries[i][0] for i in emitted}
+    replaced = {gt[i][0] for i in emitted}
     stale: dict[int, tuple[int, Detection]] = {}
     for pid, (captured, det) in vs.stale_detections.items():
         if pid in replaced:
@@ -161,10 +160,8 @@ def simulate_view_detections(
         r0, r1, c0, c1 = cells
         if not touches_fresh(cells) and last_refresh[r0 : r1 + 1, c0 : c1 + 1].max() <= captured:
             stale[pid] = (captured, det)
-    replays = {
-        i: replace(stale[entries[i][0]][1], stale=True) for i in waiting if entries[i][0] in stale
-    }
-    stale.update((entries[i][0], (frame_id, det)) for i, det in emitted.items())
+    replays = {i: replace(stale[gt[i][0]][1], stale=True) for i in waiting if gt[i][0] in stale}
+    stale.update((gt[i][0], (frame_id, det)) for i, det in emitted.items())
     # in gt order
     detections = [emitted.get(i) or replays[i] for i in sorted(emitted.keys() | replays.keys())]
 

@@ -16,9 +16,18 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from typing import Iterable
 
 import numpy as np
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Floats added left to right, one rounding per addition: the same bits
+    on every Python, where ``sum`` compensates float sums from 3.12 on."""
+    return reduce(operator.add, values, 0.0)
 
 
 class GeometryError(Exception):
@@ -136,8 +145,9 @@ class CameraModel:
         if not np.allclose(R.T @ R, np.eye(3), atol=1e-9):
             raise ValueError("rotation matrix is not orthonormal (tol 1e-9)")
         w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ValueError(f"image_size must be positive, got {self.image_size}")
+        integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (w, h))
+        if not integral or w <= 0 or h <= 0:
+            raise ValueError(f"image_size must be two positive integers, got {self.image_size}")
         object.__setattr__(self, "image_size", (int(w), int(h)))
 
     @property

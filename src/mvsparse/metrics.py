@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .association import match_bipartite
 from .detector import Detection
-from .geometry import BBox, BlockGrid, GroundPoint, bbox_block_mask, gated_distances
+from .geometry import BBox, BlockGrid, GroundPoint, bbox_block_mask, gated_distances, left_sum
 
 DEFAULT_MATCH_RADIUS = 0.5
 
@@ -60,7 +60,7 @@ class MetricAccumulator:
         self.tp += n_match
         self.fp += len(detections) - n_match
         self.fn += len(gt_points) - n_match
-        self.overlap_sum += sum(1.0 - d / self.match_radius for _, _, d in matches)
+        self.overlap_sum += left_sum(1.0 - d / self.match_radius for _, _, d in matches)
 
     def accumulate_tracking_frame(
         self,

@@ -1,9 +1,10 @@
 """Run configuration: YAML schema, camera calibration documents, defaults.
 
-Each entry of a run config's ``cameras`` section is one camera calibration
-document: camera_id, row-major 3x3 intrinsics,
-3x3 rotation (world directions to camera directions), 3-vector translation
-(camera center in world coordinates, meters) and pixel image size.
+The document is derived from the config dataclasses by one reader and one
+writer. Each entry of ``cameras`` is one ``CameraModel`` calibration
+document: camera_id, row-major 3x3 intrinsics, 3x3 rotation (world
+directions to camera directions), 3-vector translation (camera center in
+world coordinates, meters) and pixel image size.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import get_type_hints
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -144,75 +145,58 @@ def default_cameras(image_size: tuple[int, int] = DEFAULT_IMAGE_SIZE) -> list[Ca
     return cams
 
 
-def camera_to_dict(cam: CameraModel) -> dict:
-    return {
-        "camera_id": cam.camera_id,
-        "intrinsics": [[float(v) for v in row] for row in cam.intrinsics],
-        "rotation": [[float(v) for v in row] for row in cam.rotation],
-        "translation": [float(v) for v in cam.translation],
-        "image_size": [cam.width, cam.height],
-    }
-
-
-def camera_from_dict(doc: dict) -> CameraModel:
-    try:
-        return CameraModel(
-            camera_id=int(doc["camera_id"]),
-            intrinsics=np.array(doc["intrinsics"], dtype=float).reshape(3, 3),
-            rotation=np.array(doc["rotation"], dtype=float).reshape(3, 3),
-            translation=np.array(doc["translation"], dtype=float).reshape(3),
-            image_size=(int(doc["image_size"][0]), int(doc["image_size"][1])),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad camera document: {exc}") from exc
-
-
-def _sections(cls) -> dict[str, type]:
-    """The fields of config class ``cls`` that hold a nested dataclass
-    section, with their classes. The rig's ``cameras`` tuple is no section."""
-    return {name: hint for name, hint in get_type_hints(cls).items() if is_dataclass(hint)}
-
-
 # Document value types each scalar field annotation accepts. A bool is an
 # int to Python, so it is rejected separately.
-_SCALARS = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+_SCALARS = {int: int, float: (int, float), str: str, str | None: (str, type(None))}
+
+
+def _to_doc(value):
+    """A config value as a YAML-ready document: a dataclass as a mapping in
+    field order, an ndarray or a tuple as a list."""
+    if is_dataclass(value):
+        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_to_doc(v) for v in value]
+    return value
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """The config as a YAML-ready document with the keys in field order:
     nested sections as mappings, cameras as calibration documents."""
-    doc = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    for name in _sections(RunConfig):
-        doc[name] = asdict(doc[name])
-    doc["cameras"] = [camera_to_dict(c) for c in cfg.cameras]
-    return doc
+    return _to_doc(cfg)
 
 
 def _from_doc(cls, doc, where: str):
-    """Build config class ``cls`` from its document, recursing into the
-    sections its annotations name; ``where`` is the section path, "" at the top.
-    Omitted keys keep their defaults, and each scalar value must have its
-    field's annotated type; every bad document is a ConfigError."""
+    """Build dataclass ``cls`` from its document, recursing into each field
+    annotated as a dataclass or a tuple of one; ``where`` is the key path,
+    "" at the top. Omitted keys keep their defaults, and each scalar value
+    must have its field's annotated type; every bad document is a
+    ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where or 'config'} must be a mapping, got {type(doc).__name__}")
     extra = set(doc) - {f.name for f in fields(cls)}
     if extra:
         raise ConfigError(f"unknown {where or 'config'} keys {sorted(extra)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
     for f in fields(cls):
-        if f.type not in _SCALARS or f.name not in doc:
+        if f.name not in doc:
             continue
-        value = doc[f.name]
-        if isinstance(value, bool) or not isinstance(value, _SCALARS[f.type]):
-            key = f"{where}.{f.name}" if where else f.name
-            raise ConfigError(f"{key} must be {f.type}, got {value!r}")
-    kwargs = dict(doc)
-    for name, section in _sections(cls).items():
-        if name in kwargs:
-            kwargs[name] = _from_doc(section, kwargs[name], f"{where}.{name}" if where else name)
-    if cls is RunConfig and "cameras" in kwargs:
-        if not isinstance(kwargs["cameras"], list):
-            raise ConfigError("cameras must be a list of camera documents")
-        kwargs["cameras"] = tuple(camera_from_dict(d) for d in kwargs["cameras"])
+        hint, value = hints[f.name], doc[f.name]
+        key = f"{where}.{f.name}" if where else f.name
+        item = get_args(hint)[0] if get_origin(hint) is tuple else None
+        if is_dataclass(hint):
+            value = _from_doc(hint, value, key)
+        elif is_dataclass(item):
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list, got {type(value).__name__}")
+            value = tuple(_from_doc(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+        elif hint in _SCALARS:
+            if isinstance(value, bool) or not isinstance(value, _SCALARS[hint]):
+                raise ConfigError(f"{key} must be {f.type}, got {value!r}")
+        kwargs[f.name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

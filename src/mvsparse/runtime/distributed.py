@@ -8,7 +8,9 @@ their policy agent and detector state, derive the block mask of their
 assigned boxes and learn locally. A run ends with the last frame's feedback.
 Both sides rebuild the scene deterministically from the config, so no
 ground truth crosses the wire, and with a fixed seed a distributed run
-reproduces the single-process report bit for bit.
+reproduces the single-process report bit for bit. Each camera's ``Hello``
+carries the digest of its config, and the server refuses a camera whose
+config differs from its own in anything but ``network``.
 
 Supported modes: full, blockcopy, mvsparse. The oracle and static_mask
 baselines are offline analysis modes and run single-process only.
@@ -19,8 +21,9 @@ from __future__ import annotations
 import logging
 import socket
 import time
+from dataclasses import replace
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, NetworkConfig, RunConfig, config_digest
 from .protocol import (
     BlockUpdate,
     Hello,
@@ -46,6 +49,12 @@ class ConnectionLost(Exception):
         self.partial_report = partial_report
 
 
+def run_digest(cfg: RunConfig) -> bytes:
+    """SHA-256 of the config with ``network`` at its defaults: what a camera
+    and the server must agree on. ``network`` only says where to connect."""
+    return bytes.fromhex(config_digest(replace(cfg, network=NetworkConfig())))
+
+
 def _check_mode(cfg: RunConfig) -> None:
     if cfg.mode not in DISTRIBUTED_MODES:
         raise ConfigError(
@@ -58,12 +67,14 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
     final report. Every early end raises ConnectionLost with the partial
     report and names the camera and frame being served, or the accept phase:
     a lost connection, a camera silent for ``frame_timeout_s`` (the socket
-    timeout), an unknown or duplicate camera, an out-of-order message, or an
-    update that names another camera or carries another block grid."""
+    timeout), an unknown or duplicate camera, a camera started with another
+    config, an out-of-order message, or an update that names another camera
+    or carries another block grid."""
     _check_mode(cfg)
     n_cameras = len(cfg.cameras)
     engine = ServerEngine(cfg)
     source = SceneSource(cfg)
+    digest = run_digest(cfg)
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -88,6 +99,8 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
                 raise ConnectionLost(f"unknown camera {hello.camera_id}")
             if hello.camera_id in conns:
                 raise ConnectionLost(f"duplicate camera {hello.camera_id}")
+            if hello.config_digest != digest:
+                raise ConnectionLost(f"camera {hello.camera_id} runs another config")
             conns[hello.camera_id] = sock
             logger.info("camera %d connected", hello.camera_id)
 
@@ -132,7 +145,7 @@ def run_camera_node(
     runtime = CameraRuntime(cfg, camera)
     source = SceneSource(cfg)
     try:
-        send_message(sock, Hello(camera_id))
+        send_message(sock, Hello(camera_id, run_digest(cfg)))
         for t in range(cfg.frames):
             scene = source.frame(t)
             update = runtime.begin_frame(scene, t)

@@ -6,11 +6,12 @@ floats are little-endian; block bitmaps are row-major with little-endian
 bit order inside each byte. Messages are immutable after construction and
 safe to hand across threads.
 
-Wire version 3 has three message types: a camera's ``Hello``, its
-``BlockUpdate`` per frame (block bitmap and detection records) and the
-server's ``ServerFeedback`` per frame (target tau and the assigned boxes,
-from which the camera derives their block mask). A run ends with the last
-frame's feedback; there is no end-of-sequence message.
+Wire version 4 has three message types: a camera's ``Hello`` (its camera
+id and the SHA-256 of its run config), its ``BlockUpdate`` per frame (block
+bitmap and detection records) and the server's ``ServerFeedback`` per frame
+(target tau and the assigned boxes, from which the camera derives their
+block mask). A run ends with the last frame's feedback; there is no
+end-of-sequence message.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from ..detector import Detection
 from ..geometry import BBox, GroundPoint
 
 MAGIC = b"MVSP"
-VERSION = 3
+VERSION = 4
 
 TYPE_HELLO = 1
 TYPE_BLOCK_UPDATE = 2
 TYPE_SERVER_FEEDBACK = 3
 
 _HEADER = struct.Struct("<4sBBI")
-_CAMERA_ID = struct.Struct("<H")  # the whole payload of hello
+_HELLO = struct.Struct("<H32s")  # camera id, SHA-256 of the run config
 _UPDATE_HEAD = struct.Struct("<IHBBH")  # frame, camera, rows, cols, detections
 _FEEDBACK_HEAD = struct.Struct("<IHdH")  # frame, camera, tau, boxes
 _DET = struct.Struct("<6ddB")  # bbox x,y,w,h + ground x,y + score + stale flag
@@ -68,9 +69,16 @@ class FrameTooLarge(ProtocolError):
 
 @dataclass(frozen=True)
 class Hello:
-    """Camera self-identification, sent once after connecting."""
+    """Camera self-identification, sent once after connecting: the camera id
+    and the 32-byte SHA-256 of its run config with ``network`` at its
+    defaults, which the server compares with its own."""
 
     camera_id: int
+    config_digest: bytes
+
+    def __post_init__(self):
+        if len(self.config_digest) != 32:
+            raise ValueError(f"config digest of {len(self.config_digest)} bytes, expected 32")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +142,7 @@ _MAX_COUNT = 0xFFFF
 _MAX_BITMAP = _bitmap_nbytes(MAX_GRID_SIDE, MAX_GRID_SIDE)
 # Largest payload of each message type.
 MAX_PAYLOAD = {
-    TYPE_HELLO: _CAMERA_ID.size,
+    TYPE_HELLO: _HELLO.size,
     TYPE_BLOCK_UPDATE: _UPDATE_HEAD.size + _MAX_BITMAP + _MAX_COUNT * _DET.size,
     TYPE_SERVER_FEEDBACK: _FEEDBACK_HEAD.size + _MAX_COUNT * _BOX.size,
 }
@@ -174,7 +182,7 @@ def _decode_detections(
 
 def encode_message(msg: Message) -> bytes:
     if isinstance(msg, Hello):
-        payload = _CAMERA_ID.pack(msg.camera_id)
+        payload = _HELLO.pack(msg.camera_id, msg.config_digest)
         mtype = TYPE_HELLO
     elif isinstance(msg, BlockUpdate):
         rows, cols = msg.actions.shape
@@ -264,7 +272,7 @@ def decode_message(data: bytes) -> tuple[Message, int]:
     payload = data[_HEADER.size : _HEADER.size + length]
     try:
         if mtype == TYPE_HELLO:
-            msg: Message = Hello(*_CAMERA_ID.unpack_from(payload))
+            msg: Message = Hello(*_HELLO.unpack_from(payload))
         elif mtype == TYPE_BLOCK_UPDATE:
             msg = _decode_block_update(payload)
         else:

@@ -13,7 +13,7 @@ import numpy as np
 from .. import rng as rngmod
 from ..association import assign_cameras, cluster_detections
 from ..detector import Detection, ViewState, fuse_ground_plane, simulate_view_detections
-from ..geometry import CameraModel, GroundPoint, bbox_block_mask
+from ..geometry import CameraModel, GroundPoint, bbox_block_mask, left_sum
 from ..metrics import MetricAccumulator, oracle_select
 from ..policy import PolicyAgent, target_cost
 from ..scene import (
@@ -181,7 +181,7 @@ class ServerEngine:
             gt_ground, [(t.track_id, t.position) for t in self.tracker.reported()]
         )
         blocks = sum(updates[cam].payload_blocks for cam in cam_ids)
-        traffic = sum(account_traffic(updates[cam], cfg) for cam in cam_ids)
+        traffic = left_sum(account_traffic(updates[cam], cfg) for cam in cam_ids)
         self.series_blocks.append(blocks)
         self.series_bytes.append(traffic)
 
@@ -195,7 +195,7 @@ class ServerEngine:
         cfg = self.cfg
         n_cam = len(cfg.cameras)
         n = len(self.series_blocks)
-        blocks, traffic = sum(self.series_blocks), sum(self.series_bytes)
+        blocks, traffic = sum(self.series_blocks), left_sum(self.series_bytes)
         scores = self.acc.finalize()
         scores.update(
             frames=n,

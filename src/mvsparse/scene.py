@@ -87,7 +87,6 @@ class Pedestrian:
 class SceneFrame:
     frame_id: int
     pedestrians: tuple[Pedestrian, ...]
-    timestamp: float
 
     def __post_init__(self):
         ids = [p.person_id for p in self.pedestrians]
@@ -98,12 +97,8 @@ class SceneFrame:
         return [(p.person_id, p.position) for p in self.pedestrians]
 
 
-@dataclass(frozen=True)
-class GtView:
-    """Ground-truth boxes for one camera: (person_id, box, visibility)."""
-
-    camera_id: int
-    entries: tuple[tuple[int, BBox, float], ...]
+# One camera's ground truth: (person_id, box, visibility) per walker it sees.
+GtView = tuple[tuple[int, BBox, float], ...]
 
 
 def init_scene(cfg: SceneConfig, rng: np.random.Generator) -> SceneFrame:
@@ -115,7 +110,7 @@ def init_scene(cfg: SceneConfig, rng: np.random.Generator) -> SceneFrame:
         peds.append(
             Pedestrian(pid, pos, _velocity_toward(pos, wp, speed), wp, cfg.ped_height, cfg.ped_radius)
         )
-    return SceneFrame(0, tuple(peds), 0.0)
+    return SceneFrame(0, tuple(peds))
 
 
 def _velocity_toward(pos: GroundPoint, wp: GroundPoint, speed: float) -> tuple[float, float]:
@@ -153,7 +148,7 @@ def step_scene(
         ny = pos.y + (wp.y - pos.y) / dist * step
         nx, ny = cfg.arena.clamp(nx, ny)
         moved.append(replace(ped, position=GroundPoint(nx, ny)))
-    return SceneFrame(scene.frame_id + 1, tuple(moved), scene.timestamp + dt)
+    return SceneFrame(scene.frame_id + 1, tuple(moved))
 
 
 def project_pedestrian_box(cam: CameraModel, ped: Pedestrian) -> tuple[BBox, float] | None:
@@ -203,7 +198,7 @@ def ground_truth_view(scene: SceneFrame, cam: CameraModel) -> GtView:
     """
     projected = _project_all(scene, cam)
     if not projected:
-        return GtView(cam.camera_id, ())
+        return ()
 
     canvas = np.zeros((cam.height, cam.width), dtype=bool)
     visibility: dict[int, float] = {}
@@ -225,8 +220,7 @@ def ground_truth_view(scene: SceneFrame, cam: CameraModel) -> GtView:
             canvas[y0:y1, x0:x1] = True
         i = j
 
-    entries = tuple((pid, box, visibility[pid]) for pid, box, _ in projected)
-    return GtView(cam.camera_id, entries)
+    return tuple((pid, box, visibility[pid]) for pid, box, _ in projected)
 
 
 BACKGROUND = 24
@@ -300,6 +294,4 @@ def load_trajectories(
             frames.setdefault(frame_id, []).append(
                 Pedestrian(person_id, pos, (0.0, 0.0), pos, ped_height, ped_radius)
             )
-    return [
-        SceneFrame(fid, tuple(frames[fid]), float(fid)) for fid in sorted(frames)
-    ]
+    return [SceneFrame(fid, tuple(frames[fid])) for fid in sorted(frames)]

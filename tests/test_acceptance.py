@@ -158,7 +158,7 @@ class TestCriterion4TargetTracking:
             Pedestrian(i, GroundPoint(2.0 + 2.0 * i, 3.0 + 1.5 * i), (0, 0), GroundPoint(2.0 + 2.0 * i, 3.0 + 1.5 * i))
             for i in range(6)
         )
-        scene = SceneFrame(0, peds, 0.0)
+        scene = SceneFrame(0, peds)
         gt = ground_truth_view(scene, cam)
         frame = render_view_image(scene, cam)
         ones_mask = np.ones(grid.shape, dtype=np.uint8)

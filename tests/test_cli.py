@@ -14,6 +14,7 @@ from mvsparse.runtime.config import (
     default_cameras,
     save_config,
 )
+from mvsparse.runtime.distributed import run_digest
 from mvsparse.runtime.protocol import Hello, send_message
 from test_distributed import free_port
 
@@ -107,6 +108,16 @@ def test_mistyped_config_value_exits_with_config_error(tmp_path, capsys):
     assert "config error" in err and "frames must be int" in err
 
 
+def test_bad_camera_document_exits_with_config_error(tmp_path, capsys):
+    doc = config_to_dict(RunConfig())
+    doc["cameras"][0]["camera_id"] = 1.7
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "cameras[0].camera_id must be int, got 1.7" in err
+
+
 def test_missing_report_args(capsys):
     assert main(["report"]) == EXIT_CONFIG
 
@@ -165,7 +176,7 @@ def test_serve_with_a_duplicate_camera_exits_with_network_failure(tmp_path, caps
 
     socks = [connect(), connect()]
     for sock in socks:
-        send_message(sock, Hello(0))
+        send_message(sock, Hello(0, run_digest(cfg)))
     server.join(30.0)
     for sock in socks:
         sock.close()

@@ -16,7 +16,7 @@ from mvsparse.detector import (
 )
 from mvsparse.association import Cluster
 from mvsparse.geometry import BBox, BlockGrid, GroundPoint, camera_from_pose
-from mvsparse.scene import GtView, Pedestrian, SceneFrame, ground_truth_view
+from mvsparse.scene import Pedestrian, SceneFrame, ground_truth_view
 from test_geometry import blocks_for_bbox
 from test_rng import reference_uniforms
 
@@ -41,20 +41,20 @@ class TestSimulateViewDetections:
     def test_perfect_limit_reproduces_gt_boxes(self):
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
-        scene = SceneFrame(0, (walker(0, 4.0, 4.0), walker(1, 7.0, 9.0)), 0.0)
+        scene = SceneFrame(0, (walker(0, 4.0, 4.0), walker(1, 7.0, 9.0)))
         gt = gt_for(scene, cam)
-        assert len(gt.entries) == 2
+        assert len(gt) == 2
         vs = ViewState.initial(cam, grid, seed=3)
         dets, _ = simulate_view_detections(vs, np.ones(grid.shape), gt, 0, PERFECT)
         assert len(dets) == 2
         got = {d.bbox for d in dets}
-        assert got == {box for _, box, _ in gt.entries}
+        assert got == {box for _, box, _ in gt}
         assert all(not d.stale for d in dets)
 
     def test_no_actions_ever_means_no_detections(self):
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
-        scene = SceneFrame(0, (walker(0, 4.0, 4.0),), 0.0)
+        scene = SceneFrame(0, (walker(0, 4.0, 4.0),))
         vs = ViewState.initial(cam, grid, seed=3)
         zeros = np.zeros(grid.shape)
         for t in range(4):
@@ -64,7 +64,7 @@ class TestSimulateViewDetections:
     def test_stale_replay_of_captured_box(self):
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
-        scene = SceneFrame(0, (walker(0, 4.0, 4.0),), 0.0)
+        scene = SceneFrame(0, (walker(0, 4.0, 4.0),))
         gt = gt_for(scene, cam)
         vs = ViewState.initial(cam, grid, seed=3)
         zeros = np.zeros(grid.shape)
@@ -83,14 +83,14 @@ class TestSimulateViewDetections:
     def test_refreshing_blocks_after_departure_clears_the_ghost(self):
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
-        here = SceneFrame(0, (walker(0, 4.0, 4.0),), 0.0)
+        here = SceneFrame(0, (walker(0, 4.0, 4.0),))
         gt_here = gt_for(here, cam)
         vs = ViewState.initial(cam, grid, seed=3)
         dets, vs = simulate_view_detections(vs, np.ones(grid.shape), gt_here, 0, PERFECT)
         assert len(dets) == 1
         # walker moves far away, its old blocks get re-executed: the stored
         # detection must not survive
-        there = SceneFrame(1, (walker(0, 10.0, 14.0),), 0.0)
+        there = SceneFrame(1, (walker(0, 10.0, 14.0),))
         gt_there = gt_for(there, cam)
         dets, vs = simulate_view_detections(vs, np.ones(grid.shape), gt_there, 1, PERFECT)
         assert all(d.ground.distance_to(GroundPoint(10.0, 14.0)) < 0.5 for d in dets)
@@ -104,7 +104,7 @@ class TestSimulateViewDetections:
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
         cfg = DetectorConfig(sigma_px=2.0, p_miss=0.2, fp_rate=0.5, min_box_height_px=0.0)
-        scene = SceneFrame(0, (walker(0, 4.0, 4.0), walker(1, 7.0, 9.0), walker(2, 2.0, 8.0)), 0.0)
+        scene = SceneFrame(0, (walker(0, 4.0, 4.0), walker(1, 7.0, 9.0), walker(2, 2.0, 8.0)))
         gt = gt_for(scene, cam)
         rng = np.random.default_rng(9)
 
@@ -121,10 +121,10 @@ class TestSimulateViewDetections:
     def test_monotone_information_under_more_actions(self):
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
-        scene0 = SceneFrame(0, (walker(0, 4.0, 4.0, vx=0.5), walker(1, 7.0, 9.0, vy=0.5)), 0.0)
+        scene0 = SceneFrame(0, (walker(0, 4.0, 4.0, vx=0.5), walker(1, 7.0, 9.0, vy=0.5)))
         scene1 = SceneFrame(1, tuple(
             Pedestrian(p.person_id, GroundPoint(p.position.x + p.velocity[0], p.position.y + p.velocity[1]),
-                       p.velocity, p.waypoint) for p in scene0.pedestrians), 1.0)
+                       p.velocity, p.waypoint) for p in scene0.pedestrians))
         rng = np.random.default_rng(11)
         vs_small = ViewState.initial(cam, grid, seed=5)
         vs_big = ViewState.initial(cam, grid, seed=5)
@@ -153,13 +153,13 @@ class TestSimulateViewDetections:
         grid = BlockGrid.for_image(1152, 640, 128)
         speed, dt = 1.0, 1.0 / 30.0
         vs = ViewState.initial(cam, grid, seed=3)
-        scene = SceneFrame(0, (walker(0, 4.0, 4.0, vx=speed),), 0.0)
+        scene = SceneFrame(0, (walker(0, 4.0, 4.0, vx=speed),))
         dets, vs = simulate_view_detections(vs, np.ones(grid.shape), gt_for(scene, cam), 0, PERFECT)
         zeros = np.zeros(grid.shape)
         pos = GroundPoint(4.0, 4.0)
         for k in range(1, 12):
             pos = GroundPoint(4.0 + speed * dt * k, 4.0)
-            moved = SceneFrame(k, (Pedestrian(0, pos, (speed, 0.0), GroundPoint(100, 4)),), 0.0)
+            moved = SceneFrame(k, (Pedestrian(0, pos, (speed, 0.0), GroundPoint(100, 4)),))
             dets, vs = simulate_view_detections(vs, zeros, gt_for(moved, cam), k, PERFECT)
             if not dets:
                 break
@@ -171,7 +171,7 @@ class TestSimulateViewDetections:
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
         cfg = DetectorConfig(sigma_px=0.0, p_miss=0.0, fp_rate=8.0, min_box_height_px=36.0)
-        empty = SceneFrame(0, (), 0.0)
+        empty = SceneFrame(0, ())
         actions = np.zeros(grid.shape, dtype=np.uint8)
         actions[2, 3] = 1
         actions[4, 7] = 1
@@ -190,9 +190,9 @@ class TestSimulateViewDetections:
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
         cfg = DetectorConfig(fp_rate=0.0)
-        box = gt_for(SceneFrame(0, (walker(0, 4.0, 4.0),), 0.0), cam).entries[0][1]
+        box = gt_for(SceneFrame(0, (walker(0, 4.0, 4.0),)), cam)[0][1]
         assert box.x > 50 and box.y > 50 and box.x + box.w < 1100 and box.y + box.h < 590
-        gt = GtView(cam.camera_id, tuple((pid, box, 1.0) for pid in range(1000)))
+        gt = tuple((pid, box, 1.0) for pid in range(1000))
         vs = ViewState.initial(cam, grid, seed=3)
         lefts = []
         for t in range(4):
@@ -207,14 +207,14 @@ class TestSimulateViewDetections:
         grid = BlockGrid.for_image(1152, 640, 128)
         vs = ViewState.initial(cam, grid, seed=3)
         with pytest.raises(DimensionMismatch):
-            simulate_view_detections(vs, np.ones((3, 3)), gt_for(SceneFrame(0, (), 0.0), cam), 0, PERFECT)
+            simulate_view_detections(vs, np.ones((3, 3)), gt_for(SceneFrame(0, ()), cam), 0, PERFECT)
 
     def test_min_height_filters_far_walkers(self):
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)
-        scene = SceneFrame(0, (walker(0, 4.0, 4.0),), 0.0)
+        scene = SceneFrame(0, (walker(0, 4.0, 4.0),))
         gt = gt_for(scene, cam)
-        taller_than_box = gt.entries[0][1].h + 1
+        taller_than_box = gt[0][1].h + 1
         cfg = DetectorConfig(sigma_px=0.0, p_miss=0.0, fp_rate=0.0, min_box_height_px=taller_than_box)
         vs = ViewState.initial(cam, grid, seed=3)
         dets, _ = simulate_view_detections(vs, np.ones(grid.shape), gt, 0, cfg)
@@ -265,7 +265,7 @@ def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
         if all(last_refresh[b] <= captured for b in blocks_for_bbox(vs.grid, det.bbox)):
             stale[pid] = (captured, det)
     detections = []
-    for pid, box, visibility in gt.entries:
+    for pid, box, visibility in gt:
         if visibility < cfg.v_min or box.h < cfg.min_box_height_px:
             continue
         if any(fresh[b] for b in blocks_for_bbox(vs.grid, box)):
@@ -347,7 +347,7 @@ def test_array_detector_equals_the_reference(walkers, cfg, seed, cam_id, densiti
         peds = tuple(
             walker(pid, x + vx * t, y + vy * t, vx, vy) for pid, (x, y, vx, vy) in enumerate(walkers)
         )
-        gt = gt_for(SceneFrame(t, peds, 0.0), cam)
+        gt = gt_for(SceneFrame(t, peds), cam)
         actions = (arng.random(grid.shape) < density).astype(np.uint8)
         got, got_vs = simulate_view_detections(got_vs, actions, gt, t, cfg)
         want, want_vs = reference_simulate_view_detections(want_vs, actions, gt, t, cfg)

@@ -8,6 +8,7 @@ from mvsparse.runtime.config import ConfigError, NetworkConfig, RunConfig, defau
 from mvsparse.runtime.distributed import (
     ConnectionLost,
     run_camera_node,
+    run_digest,
     run_server,
 )
 from mvsparse.runtime.protocol import (
@@ -106,6 +107,27 @@ class TestDistributedEquivalence:
         assert dumps_report(remote) == dumps_report(local)
 
 
+    def test_cameras_may_differ_from_the_server_in_network_only(self):
+        cfg = two_camera_cfg(frames=5, mode="full")
+        port = free_port()
+        thread, box = serve_in_thread(cfg, port)
+        network = NetworkConfig(frame_timeout_s=7.0, latency_ms=40.0, retry_backoff_s=0.05)
+        cam_cfg = cfg.with_overrides(network=network)
+        cameras = [
+            threading.Thread(
+                target=run_camera_node, args=(cam_cfg, cam, ("127.0.0.1", port)), daemon=True
+            )
+            for cam in cfg.camera_ids
+        ]
+        for t in cameras:
+            t.start()
+        thread.join(60.0)
+        for t in cameras:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in [thread, *cameras])
+        assert box["error"] is None
+
+
 class TestFailurePaths:
     def test_camera_disconnect_surfaces_connection_lost_with_partial_report(self):
         cfg = two_camera_cfg(frames=6, timeout=5.0).with_overrides(
@@ -114,7 +136,7 @@ class TestFailurePaths:
         port = free_port()
         thread, box = serve_in_thread(cfg, port)
         sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-        send_message(sock, Hello(0))
+        send_message(sock, Hello(0, run_digest(cfg)))
         sock.close()  # vanish before sending any update
         thread.join(30.0)
         err = box["error"]
@@ -131,7 +153,7 @@ class TestFailurePaths:
         port = free_port()
         thread, box = serve_in_thread(cfg, port)
         sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-        send_message(sock, Hello(0))
+        send_message(sock, Hello(0, run_digest(cfg)))
         thread.join(30.0)
         sock.close()
         assert not thread.is_alive()
@@ -147,7 +169,7 @@ class TestFailurePaths:
         port = free_port()
         thread, box = serve_in_thread(cfg, port)
         sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-        send_message(sock, Hello(0))
+        send_message(sock, Hello(0, run_digest(cfg)))
         send_message(sock, BlockUpdate(1, 0, np.ones(cfg.grid.shape, dtype=np.uint8), ()))
         thread.join(30.0)
         sock.close()
@@ -169,7 +191,7 @@ class TestFailurePaths:
         thread, box = serve_in_thread(cfg, port)
         socks = [socket.create_connection(("127.0.0.1", port), timeout=5.0) for _ in range(2)]
         for cam, sock in enumerate(socks):
-            send_message(sock, Hello(cam))
+            send_message(sock, Hello(cam, run_digest(cfg)))
         send_message(socks[0], BlockUpdate(0, 0, np.ones(cfg.grid.shape, dtype=np.uint8), ()))
         grid = cfg.with_overrides(block_size=block_size).grid
         send_message(socks[1], BlockUpdate(0, label, np.ones(grid.shape, dtype=np.uint8), ()))
@@ -188,7 +210,7 @@ class TestFailurePaths:
         port = free_port()
         thread, box = serve_in_thread(cfg, port)
         sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-        send_message(sock, Hello(0))
+        send_message(sock, Hello(0, run_digest(cfg)))
         thread.join(30.0)
         sock.close()
         assert not thread.is_alive()
@@ -202,15 +224,60 @@ class TestFailurePaths:
         port = free_port()
         thread, box = serve_in_thread(cfg, port)
         first = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-        send_message(first, Hello(0))
+        send_message(first, Hello(0, run_digest(cfg)))
         second = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-        send_message(second, Hello(0))
+        send_message(second, Hello(0, run_digest(cfg)))
         thread.join(30.0)
         assert "accepting cameras: duplicate camera 0" in str(box["error"])
         assert box["error"].partial_report["completed_frames"] == 0
         assert second.recv(1) == b""  # closed by the server, not kept open
         first.close()
         second.close()
+
+    def test_hello_with_another_config_digest_ends_the_run(self):
+        cfg = two_camera_cfg(frames=3, timeout=5.0).with_overrides(
+            cameras=tuple(default_cameras()[:1])
+        )
+        port = free_port()
+        thread, box = serve_in_thread(cfg, port)
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        send_message(sock, Hello(0, bytes(32)))
+        thread.join(30.0)
+        sock.close()
+        assert not thread.is_alive()
+        err = box["error"]
+        assert "accepting cameras: camera 0 runs another config" in str(err)
+        assert err.partial_report["completed_frames"] == 0
+
+    def test_camera_node_started_with_another_seed_is_refused(self):
+        # camera 1 runs seed + 1: its reports would no longer equal run_sim
+        network = NetworkConfig(frame_timeout_s=5.0, connect_retries=2, retry_backoff_s=0.05)
+        cfg = two_camera_cfg(frames=20).with_overrides(network=network)
+        port = free_port()
+        thread, box = serve_in_thread(cfg, port)
+        errors = []
+
+        def camera(cam_cfg, cam_id):
+            try:
+                run_camera_node(cam_cfg, cam_id, server=("127.0.0.1", port))
+            except ConnectionLost as exc:
+                errors.append(exc)
+
+        cameras = [
+            threading.Thread(target=camera, args=(cam_cfg, cam_id), daemon=True)
+            for cam_id, cam_cfg in enumerate([cfg, cfg.with_overrides(seed=cfg.seed + 1)])
+        ]
+        for t in cameras:
+            t.start()
+        thread.join(30.0)
+        for t in cameras:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in [thread, *cameras])
+        err = box["error"]
+        assert isinstance(err, ConnectionLost)
+        assert "camera 1 runs another config" in str(err)
+        assert err.partial_report["completed_frames"] == 0
+        assert len(errors) == 2  # both cameras see the server hang up
 
     def test_feedback_for_another_camera_rejected(self):
         cfg = two_camera_cfg(frames=3, timeout=5.0)

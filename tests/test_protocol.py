@@ -31,6 +31,9 @@ from mvsparse.runtime.protocol import (
 )
 
 
+DIGEST = bytes(range(32))  # a config digest: any 32 bytes
+
+
 def sample_update(popcount=7, n_dets=3, frame_id=12):
     rng = np.random.default_rng(popcount + n_dets)
     actions = np.zeros((5, 9), dtype=np.uint8)
@@ -56,9 +59,9 @@ def sample_feedback():
 
 class TestRoundTrip:
     def test_hello(self):
-        msg, used = decode_message(encode_message(Hello(3)))
-        assert msg == Hello(3)
-        assert used == len(encode_message(Hello(3)))
+        msg, used = decode_message(encode_message(Hello(3, DIGEST)))
+        assert msg == Hello(3, DIGEST)
+        assert used == len(encode_message(Hello(3, DIGEST)))
 
     def test_block_update(self):
         update = sample_update()
@@ -77,9 +80,9 @@ class TestRoundTrip:
         assert msg == fb
 
     def test_concatenated_frames(self):
-        a, b = encode_message(Hello(1)), encode_message(sample_update())
+        a, b = encode_message(Hello(1, DIGEST)), encode_message(sample_update())
         msg1, used = decode_message(a + b)
-        assert msg1 == Hello(1)
+        assert msg1 == Hello(1, DIGEST)
         msg2, _ = decode_message((a + b)[used:])
         assert msg2 == sample_update()
 
@@ -90,33 +93,41 @@ class TestRoundTrip:
 
 class TestTypedErrors:
     def test_bad_magic(self):
-        data = bytearray(encode_message(Hello(1)))
+        data = bytearray(encode_message(Hello(1, DIGEST)))
         data[0] = ord(b"X")
         with pytest.raises(BadMagic):
             decode_message(bytes(data))
 
     def test_version_mismatch(self):
-        data = bytearray(encode_message(Hello(1)))
+        data = bytearray(encode_message(Hello(1, DIGEST)))
         data[4] = 99
         with pytest.raises(VersionMismatch):
             decode_message(bytes(data))
 
     def test_version_2_feedback_rejected(self):
         # version 2 feedback also carried the grid and the boxes' block bitmap
-        assert VERSION == 3
         boxes = sample_feedback().topk_boxes
         payload = struct.pack("<IHBBdH", 9, 1, 5, 9, 0.625, len(boxes)) + bytes(6)
         payload += b"".join(struct.pack("<4d", b.x, b.y, b.w, b.h) for b in boxes)
         with pytest.raises(VersionMismatch):
             decode_message(_header(version=2, mtype=3, length=len(payload)) + payload)
 
+    def test_version_3_hello_rejected(self):
+        # a version 3 hello carried the camera id alone
+        with pytest.raises(VersionMismatch):
+            decode_message(_header(version=3, mtype=1, length=2) + b"\x00\x00")
+
+    def test_hello_digest_must_be_32_bytes(self):
+        with pytest.raises(ValueError, match="32"):
+            Hello(0, b"short")
+
     def test_type_4_is_unknown(self):
-        # version 2's end-of-sequence; version 3 has no such message
+        # version 2's end-of-sequence; later versions have no such message
         with pytest.raises(UnknownType):
             decode_message(_header(mtype=4, length=2) + b"\x02\x00")
 
     def test_unknown_type(self):
-        data = bytearray(encode_message(Hello(1)))
+        data = bytearray(encode_message(Hello(1, DIGEST)))
         data[5] = 200
         with pytest.raises(UnknownType):
             decode_message(bytes(data))
@@ -180,9 +191,9 @@ class TestReadMessage:
     def test_round_trip_over_socket(self, sock_pair):
         a, b = sock_pair
         send_message(a, sample_update())
-        send_message(a, Hello(4))
+        send_message(a, Hello(4, DIGEST))
         assert read_message(b) == sample_update()
-        assert read_message(b) == Hello(4)
+        assert read_message(b) == Hello(4, DIGEST)
 
     def test_oversized_length_rejected_before_body_read(self, sock_pair):
         a, b = sock_pair
@@ -201,7 +212,8 @@ class TestReadMessage:
 
     def test_decode_applies_the_same_bound(self):
         with pytest.raises(FrameTooLarge):
-            decode_message(_header(mtype=1, length=3) + b"\x00" * 3)
+            # one byte over the 34-byte hello payload
+            decode_message(_header(mtype=1, length=35) + b"\x00" * 35)
 
 
 def _with_payload(frame: bytes, payload: bytes) -> bytes:
@@ -239,7 +251,7 @@ class TestCanonicalFrames:
 VALID_FRAMES = [
     encode_message(m)
     for m in (
-        Hello(3),
+        Hello(3, DIGEST),
         sample_update(),
         sample_update(popcount=0, n_dets=0),
         sample_feedback(),

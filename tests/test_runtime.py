@@ -1,15 +1,17 @@
+import builtins
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsparse.runtime.config import (
     MODES,
     ConfigError,
     RunConfig,
-    camera_from_dict,
-    camera_to_dict,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -22,10 +24,50 @@ from mvsparse.runtime.simulation import CameraRuntime, SceneSource, ServerEngine
 from mvsparse.metrics import oracle_select
 from mvsparse.scene import Pedestrian, SceneFrame, ground_truth_view, project_pedestrian_box
 from mvsparse.detector import DetectorConfig
-from mvsparse.geometry import GroundPoint
+from mvsparse.geometry import GroundPoint, camera_from_pose
 from test_geometry import blocks_for_bbox, project_image_to_ground
 
 import yaml
+
+
+PLAIN_SUM = builtins.sum
+
+
+def cpython312_sum(iterable, /, start=0):
+    """Builtin ``sum`` as CPython 3.12 computes it (Python/bltinmodule.c,
+    ``builtin_sum_impl``): integers exactly, and a float sum with Neumaier's
+    compensation, added back once at the end."""
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            if type(item) in (int, bool):
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is not float:
+        return PLAIN_SUM(it, result)
+    total, c = result, 0.0
+    for item in it:
+        if type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                c += (total - t) + item
+            else:
+                c += (item - t) + total
+            total = t
+        elif type(item) in (int, bool) and -(2**63) <= item < 2**63:
+            total += float(item)
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return PLAIN_SUM(it, total + item)
+    if c and math.isfinite(c):
+        total += c
+    return total
 
 
 def small_cfg(**overrides):
@@ -41,11 +83,56 @@ def small_cfg(**overrides):
     return cfg.with_overrides(scene=type(scene)(arena=scene.arena, n_pedestrians=8))
 
 
-def camera_doc(camera_id):
-    return {**camera_to_dict(default_cameras()[0]), "camera_id": camera_id}
+def camera_doc(**changes):
+    """The default camera 0's calibration document with ``changes`` applied."""
+    return {**config_to_dict(RunConfig())["cameras"][0], **changes}
+
+
+@st.composite
+def rigs(draw):
+    """1-4 cameras from random mounting poses, with distinct ids and one
+    shared image size."""
+    size = (draw(st.integers(64, 4096)), draw(st.integers(64, 4096)))
+    ids = draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=4, unique=True))
+    return tuple(
+        camera_from_pose(
+            cam_id,
+            (draw(st.floats(-50, 50)), draw(st.floats(-50, 50)), draw(st.floats(1, 30))),
+            draw(st.floats(-180, 180)),
+            draw(st.floats(5, 85)),
+            draw(st.floats(100, 3000)),
+            size,
+        )
+        for cam_id in ids
+    )
+
+
+SCALAR_OVERRIDES = st.fixed_dictionaries(
+    {},
+    optional={
+        "mode": st.sampled_from(MODES),
+        "frames": st.integers(1, 10**6),
+        "seed": st.integers(0, 2**63),
+        "dt": st.floats(1e-4, 1.0),
+        "block_size": st.integers(32, 512),
+        "k_views": st.integers(1, 8),
+        "cluster_eps": st.floats(0.01, 5.0),
+        "compression_factor": st.floats(0.1, 100.0),
+        "trajectories": st.sampled_from([None, "walkers.txt"]),
+    },
+)
 
 
 class TestConfig:
+    @settings(max_examples=60, deadline=None)
+    @given(rigs(), SCALAR_OVERRIDES)
+    def test_random_rigs_round_trip_through_yaml(self, cameras, overrides):
+        cfg = RunConfig(cameras=cameras, **overrides)
+        doc = yaml.safe_load(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
+        loaded = config_from_dict(doc)
+        assert config_to_dict(loaded) == config_to_dict(cfg)
+        assert config_digest(loaded) == config_digest(cfg)
+
     def test_yaml_round_trip(self, tmp_path):
         cfg = RunConfig(mode="oracle", frames=77, seed=3, k_views=2)
         path = tmp_path / "cfg.yaml"
@@ -71,8 +158,13 @@ class TestConfig:
             {"cameras": 5},
             {"block_size": 0},
             {"block_size": 4},
-            {"cameras": [camera_doc(70000)]},
-            {"cameras": [camera_doc(-1)]},
+            {"cameras": [camera_doc(camera_id=70000)]},
+            {"cameras": [camera_doc(camera_id=-1)]},
+            {"cameras": [camera_doc(focal_px=700.0)]},
+            {"cameras": [camera_doc(camera_id="0")]},
+            {"cameras": [camera_doc(camera_id=1.7)]},
+            {"cameras": [camera_doc(camera_id=True)]},
+            {"cameras": [camera_doc(image_size=[1152.5, 640])]},
             {"seed": -1},
             {"seed": 1.5},
             {"frames": 2.5},
@@ -97,6 +189,11 @@ class TestConfig:
             "grid-wider-than-wire",
             "camera-id-above-uint16",
             "camera-id-negative",
+            "camera-unknown-key",
+            "camera-id-string",
+            "camera-id-float",
+            "camera-id-bool",
+            "camera-image-size-float",
             "seed-negative",
             "seed-not-an-integer",
             "frames-float",
@@ -133,18 +230,18 @@ class TestConfig:
             RunConfig(frames=0)
 
     def test_mixed_image_sizes_rejected(self):
-        cams = default_cameras()
-        odd = camera_from_dict({**camera_to_dict(cams[0]), "image_size": [640, 480]})
+        cam1 = config_to_dict(RunConfig())["cameras"][1]
         with pytest.raises(ConfigError, match="image size"):
-            RunConfig(cameras=(odd, cams[1]))
+            config_from_dict({"cameras": [camera_doc(image_size=[640, 480]), cam1]})
 
     def test_calibration_file_schema(self, tmp_path):
+        # a rig of one calibration document, written and read as YAML
         cam = default_cameras()[2]
         path = tmp_path / "cam2.yaml"
         with open(path, "w") as fh:
-            yaml.safe_dump(camera_to_dict(cam), fh)
+            yaml.safe_dump(config_to_dict(RunConfig(cameras=(cam,)))["cameras"][0], fh)
         with open(path) as fh:
-            loaded = camera_from_dict(yaml.safe_load(fh))
+            (loaded,) = config_from_dict({"cameras": [yaml.safe_load(fh)]}).cameras
         assert loaded.camera_id == cam.camera_id
         assert np.allclose(loaded.rotation, cam.rotation)
         assert np.allclose(loaded.translation, cam.translation)
@@ -182,6 +279,16 @@ class TestRunSimDeterminism:
     @pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
     def test_report_digest_is_pinned(self, mode):
         report = run_sim(RunConfig(mode=mode, frames=40, seed=11))
+        digest = hashlib.sha256(dumps_report(report).encode()).hexdigest()
+        assert digest == self.PINNED_DIGESTS[mode]
+
+    @pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
+    def test_report_digest_holds_under_the_compensated_sum(self, mode, monkeypatch):
+        # Python 3.12's sum() rounds float sums differently; a report must
+        # not depend on the Python that ran it
+        monkeypatch.setattr(builtins, "sum", cpython312_sum)
+        report = run_sim(RunConfig(mode=mode, frames=40, seed=11))
+        monkeypatch.undo()
         digest = hashlib.sha256(dumps_report(report).encode()).hexdigest()
         assert digest == self.PINNED_DIGESTS[mode]
 

@@ -34,14 +34,14 @@ def make_ped(pid, x, y, wx, wy, speed=1.0):
 class TestStepScene:
     def test_linear_motion(self):
         cfg = SceneConfig()
-        scene = SceneFrame(0, (make_ped(0, 0, 0, 10, 0, speed=1.0),), 0.0)
+        scene = SceneFrame(0, (make_ped(0, 0, 0, 10, 0, speed=1.0),))
         nxt = step_scene(scene, 0.5, np.random.default_rng(0), cfg)
         assert nxt.pedestrians[0].position == GroundPoint(0.5, 0.0)
         assert nxt.frame_id == 1
 
     def test_arrival_resamples_waypoint_without_moving(self):
         cfg = SceneConfig()
-        scene = SceneFrame(0, (make_ped(0, 3.0, 3.0, 3.0, 3.05),), 0.0)
+        scene = SceneFrame(0, (make_ped(0, 3.0, 3.0, 3.0, 3.05),))
         nxt = step_scene(scene, 0.5, np.random.default_rng(1), cfg)
         ped = nxt.pedestrians[0]
         assert ped.position == GroundPoint(3.0, 3.0)
@@ -49,7 +49,7 @@ class TestStepScene:
         assert arena_contains(cfg.arena, ped.waypoint)
 
     def test_empty_scene(self):
-        nxt = step_scene(SceneFrame(4, (), 2.0), 0.5, np.random.default_rng(2), SceneConfig())
+        nxt = step_scene(SceneFrame(4, ()), 0.5, np.random.default_rng(2), SceneConfig())
         assert nxt.frame_id == 5
         assert nxt.pedestrians == ()
 
@@ -80,16 +80,16 @@ class TestStepScene:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step_scene(SceneFrame(0, (), 0.0), 0.0, np.random.default_rng(0), SceneConfig())
+            step_scene(SceneFrame(0, ()), 0.0, np.random.default_rng(0), SceneConfig())
 
 
 class TestGroundTruthView:
     def test_single_pedestrian_fully_visible(self):
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
-        scene = SceneFrame(0, (make_ped(0, 8.0, 0.0, 9.0, 0.0),), 0.0)
+        scene = SceneFrame(0, (make_ped(0, 8.0, 0.0, 9.0, 0.0),))
         view = ground_truth_view(scene, cam)
-        assert len(view.entries) == 1
-        pid, box, vis = view.entries[0]
+        assert len(view) == 1
+        pid, box, vis = view[0]
         assert pid == 0
         assert vis == 1.0
         assert box.w > 0 and box.h > 0
@@ -98,8 +98,8 @@ class TestGroundTruthView:
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 25.0, 700.0, (1152, 640))
         near = make_ped(0, 8.0, 0.0, 9.0, 0.0)
         far = make_ped(1, 10.5, 0.0, 11.0, 0.0)
-        view = ground_truth_view(SceneFrame(0, (near, far), 0.0), cam)
-        vis = {pid: v for pid, _, v in view.entries}
+        view = ground_truth_view(SceneFrame(0, (near, far)), cam)
+        vis = {pid: v for pid, _, v in view}
         assert vis[1] < 1.0
         assert vis[1] < vis[0]
         # independent oracle: rectangle overlap of the two projected boxes
@@ -110,14 +110,14 @@ class TestGroundTruthView:
 
     def test_pedestrian_behind_camera_omitted(self):
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
-        scene = SceneFrame(0, (make_ped(0, -5.0, 0.0, -6.0, 0.0),), 0.0)
-        assert ground_truth_view(scene, cam).entries == ()
+        scene = SceneFrame(0, (make_ped(0, -5.0, 0.0, -6.0, 0.0),))
+        assert ground_truth_view(scene, cam) == ()
 
     def test_equal_depth_walkers_do_not_occlude(self):
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
-        scene = SceneFrame(0, (make_ped(0, 8.0, 0.3, 9, 0.3), make_ped(1, 8.0, -0.3, 9, -0.3)), 0.0)
+        scene = SceneFrame(0, (make_ped(0, 8.0, 0.3, 9, 0.3), make_ped(1, 8.0, -0.3, 9, -0.3)))
         view = ground_truth_view(scene, cam)
-        assert all(v == 1.0 for _, _, v in view.entries)
+        assert all(v == 1.0 for _, _, v in view)
 
     def test_foot_point_consistent_with_ground_position(self):
         cam = camera_from_pose(0, (-4, -4, 9), 45.0, 30.0, 750.0, (1152, 640))
@@ -126,22 +126,22 @@ class TestGroundTruthView:
         scene = init_scene(cfg, rng)
         view = ground_truth_view(scene, cam)
         pos = {p.person_id: p.position for p in scene.pedestrians}
-        assert view.entries
-        for pid, box, _ in view.entries:
+        assert view
+        for pid, box, _ in view:
             ground = project_image_to_ground(cam, box.foot)
             assert ground.distance_to(pos[pid]) < 0.2
 
     def test_duplicate_person_ids_rejected(self):
         with pytest.raises(ValueError):
-            SceneFrame(0, (make_ped(0, 1, 1, 2, 2), make_ped(0, 3, 3, 4, 4)), 0.0)
+            SceneFrame(0, (make_ped(0, 1, 1, 2, 2), make_ped(0, 3, 3, 4, 4)))
 
 
 class TestRenderViewImage:
     def test_renders_walkers_on_flat_background(self):
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
-        empty = render_view_image(SceneFrame(0, (), 0.0), cam)
+        empty = render_view_image(SceneFrame(0, ()), cam)
         assert empty.rects == ()  # all background
-        scene = SceneFrame(0, (make_ped(0, 8.0, 0.0, 9.0, 0.0),), 0.0)
+        scene = SceneFrame(0, (make_ped(0, 8.0, 0.0, 9.0, 0.0),))
         img = render_view_image(scene, cam)
         assert (img.width, img.height) == (1152, 640)
         assert sum(
@@ -152,13 +152,13 @@ class TestRenderViewImage:
 
     def test_nearest_walker_painted_last(self):
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
-        scene = SceneFrame(0, (make_ped(0, 6.0, 0.0, 7, 0), make_ped(1, 9.0, 0.0, 10, 0)), 0.0)
+        scene = SceneFrame(0, (make_ped(0, 6.0, 0.0, 7, 0), make_ped(1, 9.0, 0.0, 10, 0)))
         far_first = [v for v, *_ in render_view_image(scene, cam).rects]
         assert far_first == [80 + 37, 80]
 
     def test_deterministic(self):
         cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (1152, 640))
-        scene = SceneFrame(0, (make_ped(0, 8.0, 0.5, 9.0, 0.5), make_ped(1, 6.0, -1.0, 7, -1)), 0.0)
+        scene = SceneFrame(0, (make_ped(0, 8.0, 0.5, 9.0, 0.5), make_ped(1, 6.0, -1.0, 7, -1)))
         assert render_view_image(scene, cam) == render_view_image(scene, cam)
 
 
