@@ -47,7 +47,6 @@ class Detection:
     camera_id: int
     bbox: BBox
     ground: GroundPoint
-    score: float
     stale: bool
 
 
@@ -87,7 +86,7 @@ def simulate_view_detections(
     ``rng.uniforms`` call keyed by (camera, frame) and person id, so emitted
     boxes for a given identity do not depend on what happens to other
     blocks or objects. Block tests read a summed-area table of the fresh
-    blocks, and the fresh boxes share one stacked ground solve.
+    blocks, and all boxes, false positives too, share one ground solve.
     """
     actions = np.asarray(actions)
     if actions.shape != vs.grid.shape:
@@ -118,8 +117,8 @@ def simulate_view_detections(
         cells = block_range(grid, box)
         (picked if cells is not None and touches_fresh(cells) else waiting).append(i)
 
-    # fresh boxes: missed or jittered and clamped, then grounded together;
-    # a walker's column 0 decides the miss, columns 1-4 give the edge jitter
+    # fresh boxes: missed or jittered and clamped; a walker's column 0
+    # decides the miss, columns 1-4 give the edge jitter
     u = rngmod.uniforms(
         vs.seed, (rngmod.DETECT, cam.camera_id, frame_id), [gt[i][0] for i in picked], 5
     )
@@ -138,12 +137,31 @@ def simulate_view_detections(
         ).clamped(cam.width, cam.height)
         if jittered is not None:
             noisy.append((i, jittered))
-    hits, s = image_to_ground(cam, [(b.x + b.w / 2.0, b.y + b.h) for _, b in noisy])
-    emitted: dict[int, Detection] = {}
-    for (i, box), ground, on_ground in zip(noisy, hits.tolist(), (s > 0).tolist()):
-        if on_ground:
-            score = float(min(1.0, max(0.0, gt[i][2])))
-            emitted[i] = Detection(cam.camera_id, box, GroundPoint(*ground), score, stale=False)
+
+    # false positives: boxes in random fresh blocks, in draw order
+    false_boxes: list[BBox] = []
+    if cfg.fp_rate > 0 and fresh.any():
+        frng = rngmod.substream(vs.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
+        fresh_blocks = np.argwhere(fresh)
+        for _ in range(frng.poisson(cfg.fp_rate)):
+            r, c = fresh_blocks[frng.integers(len(fresh_blocks))]
+            x0, y0, x1, y1 = grid.block_extent(int(r), int(c))
+            cx = frng.uniform(x0, x1)
+            cy = frng.uniform(y0, y1)
+            w = frng.uniform(16.0, 48.0)
+            h = frng.uniform(cfg.min_box_height_px, cfg.min_box_height_px + 70.0)
+            box = BBox(cx - w / 2.0, cy - h / 2.0, w, h).clamped(cam.width, cam.height)
+            if box is not None:
+                false_boxes.append(box)
+
+    # one ground solve for all boxes; a foot ray that misses the ground drops its box
+    boxes = [box for _, box in noisy] + false_boxes
+    hits, s = image_to_ground(cam, [(b.foot.u, b.foot.v) for b in boxes])
+    grounded = [
+        Detection(cam.camera_id, box, GroundPoint(*ground), stale=False) if on_ground else None
+        for box, ground, on_ground in zip(boxes, hits.tolist(), (s > 0).tolist())
+    ]
+    emitted = {i: det for (i, _), det in zip(noisy, grounded) if det is not None}
 
     # duplicated features survive only while none of their blocks has been
     # re-executed since capture (a fresh block was, this frame); the ones a
@@ -162,33 +180,11 @@ def simulate_view_detections(
             stale[pid] = (captured, det)
     replays = {i: replace(stale[gt[i][0]][1], stale=True) for i in waiting if gt[i][0] in stale}
     stale.update((gt[i][0], (frame_id, det)) for i, det in emitted.items())
-    # in gt order
+    # fresh detections and replays in gt order, then the false positives
     detections = [emitted.get(i) or replays[i] for i in sorted(emitted.keys() | replays.keys())]
+    detections += [det for det in grounded[len(noisy) :] if det is not None]
 
-    if cfg.fp_rate > 0 and fresh.any():
-        frng = rngmod.substream(vs.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
-        n_false = frng.poisson(cfg.fp_rate)
-        if n_false:
-            fresh_blocks = np.argwhere(fresh)
-            for _ in range(n_false):
-                r, c = fresh_blocks[frng.integers(len(fresh_blocks))]
-                x0, y0, x1, y1 = vs.grid.block_extent(int(r), int(c))
-                cx = frng.uniform(x0, x1)
-                cy = frng.uniform(y0, y1)
-                w = frng.uniform(16.0, 48.0)
-                h = frng.uniform(cfg.min_box_height_px, cfg.min_box_height_px + 70.0)
-                box = BBox(cx - w / 2.0, cy - h / 2.0, w, h).clamped(cam.width, cam.height)
-                if box is None:
-                    continue
-                foot = box.foot
-                hits, s = image_to_ground(cam, [(foot.u, foot.v)])
-                if not s[0] > 0:  # the foot ray misses the ground
-                    continue
-                score = float(frng.uniform(0.2, 0.7))
-                ground = GroundPoint(*hits[0].tolist())
-                detections.append(Detection(cam.camera_id, box, ground, score, stale=False))
-
-    new_state = ViewState(cam, vs.grid, vs.seed, last_refresh, stale)
+    new_state = ViewState(cam, grid, vs.seed, last_refresh, stale)
     return tuple(detections), new_state
 
 

@@ -140,6 +140,8 @@ class CameraModel:
         object.__setattr__(self, "intrinsics", K)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
+        if not all(np.isfinite(a).all() for a in (K, R, t)):
+            raise ValueError("intrinsics, rotation and translation must be finite")
         if abs(np.linalg.det(K)) < 1e-12:
             raise ValueError("intrinsics matrix is singular")
         if not np.allclose(R.T @ R, np.eye(3), atol=1e-9):

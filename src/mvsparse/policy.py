@@ -79,7 +79,6 @@ class PolicyState:
     topk_boxes: tuple[BBox, ...]  # previous-frame assigned detections
     mask: np.ndarray  # previous-frame block assignment mask (rows, cols)
     prev_detection_boxes: tuple[BBox, ...]
-    prev_actions: np.ndarray  # (rows, cols)
     last_refresh: np.ndarray  # (rows, cols) frame of last processing, -1 never
     detection_history: dict[int, tuple[GroundPoint, ...]]  # frame -> grounds
 
@@ -170,14 +169,14 @@ def extract_block_features(
     """(n_blocks, 7) feature matrix, all entries in [0, 1].
 
     Columns: motion fraction, assignment-mask bit, previous-detection
-    coverage, assigned-box coverage, previous action, normalized staleness,
-    constant bias.
+    coverage, assigned-box coverage, previous action (the block was
+    processed last frame), normalized staleness, constant bias.
     """
     sizes = [(f.width, f.height) for f in (state.frame, state.prev_frame) if f is not None]
     if any(size != grid.image_size for size in sizes):
         raise DimensionMismatch(f"frame {sizes} vs grid image {grid.image_size}")
-    if state.prev_actions.shape != grid.shape or state.mask.shape != grid.shape:
-        raise DimensionMismatch("action/mask grids do not match the block grid")
+    if state.last_refresh.shape != grid.shape or state.mask.shape != grid.shape:
+        raise DimensionMismatch("refresh/mask grids do not match the block grid")
 
     det_spans = _box_spans(state.prev_detection_boxes, grid)
     topk_spans = _box_spans(state.topk_boxes, grid)
@@ -195,7 +194,7 @@ def extract_block_features(
     feats[:, 1] = state.mask.reshape(n).astype(float)
     feats[:, 2] = det_cov.reshape(n)
     feats[:, 3] = topk_cov.reshape(n)
-    feats[:, 4] = state.prev_actions.reshape(n).astype(float)
+    feats[:, 4] = (state.last_refresh == state.frame_id - 1).reshape(n)
     feats[:, 5] = staleness.reshape(n)
     feats[:, 6] = 1.0
     return feats
@@ -355,7 +354,6 @@ class PolicyAgent:
         self.detection_history: dict[int, tuple[GroundPoint, ...]] = {}
         self.window: list[WindowSample] = []
         self.prev_frame: ViewPaint | None = None
-        self.prev_actions = np.zeros(grid.shape, dtype=np.uint8)
         self.prev_detection_boxes: tuple[BBox, ...] = ()
         self.topk_boxes: tuple[BBox, ...] = ()
         self.gamma_mask = np.zeros(grid.shape, dtype=np.uint8)
@@ -369,9 +367,8 @@ class PolicyAgent:
             topk_boxes=self.topk_boxes,
             mask=self.gamma_mask,
             prev_detection_boxes=self.prev_detection_boxes,
-            prev_actions=self.prev_actions,
             last_refresh=last_refresh,
-            detection_history=dict(self.detection_history),
+            detection_history=self.detection_history,
         )
         features = extract_block_features(state, self.grid, self.cfg)
         psi = forward(self.params, features, self.cfg.p_floor).reshape(self.grid.shape)
@@ -417,13 +414,12 @@ class PolicyAgent:
             self.window = []
 
         # refresh frames after this one: unchanged on skipped blocks, this frame elsewhere
-        self.detection_history[frame_id] = tuple(d.ground for d in own_detections)
-        live = set(np.unique(state.last_refresh[actions == 0]).tolist()) | {frame_id}
+        live = set(np.unique(state.last_refresh[actions == 0]).tolist())
         self.detection_history = {
             f: g for f, g in self.detection_history.items() if f in live
         }
+        self.detection_history[frame_id] = tuple(d.ground for d in own_detections)
         self.prev_frame = state.frame
-        self.prev_actions = actions
         self.prev_detection_boxes = tuple(d.bbox for d in own_detections)
         self.topk_boxes = gamma_boxes
         self.gamma_mask = np.asarray(gamma_mask, dtype=np.uint8)

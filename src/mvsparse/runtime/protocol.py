@@ -6,16 +6,18 @@ floats are little-endian; block bitmaps are row-major with little-endian
 bit order inside each byte. Messages are immutable after construction and
 safe to hand across threads.
 
-Wire version 4 has three message types: a camera's ``Hello`` (its camera
+Wire version 5 has three message types: a camera's ``Hello`` (its camera
 id and the SHA-256 of its run config), its ``BlockUpdate`` per frame (block
-bitmap and detection records) and the server's ``ServerFeedback`` per frame
-(target tau and the assigned boxes, from which the camera derives their
-block mask). A run ends with the last frame's feedback; there is no
-end-of-sequence message.
+bitmap and detection records: box, ground point, stale flag) and the
+server's ``ServerFeedback`` per frame (target tau and the assigned boxes,
+from which the camera derives their block mask). A run ends with the last
+frame's feedback; there is no end-of-sequence message. A NaN or infinite
+float on the wire does not decode.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -25,7 +27,7 @@ from ..detector import Detection
 from ..geometry import BBox, GroundPoint
 
 MAGIC = b"MVSP"
-VERSION = 4
+VERSION = 5
 
 TYPE_HELLO = 1
 TYPE_BLOCK_UPDATE = 2
@@ -35,7 +37,7 @@ _HEADER = struct.Struct("<4sBBI")
 _HELLO = struct.Struct("<H32s")  # camera id, SHA-256 of the run config
 _UPDATE_HEAD = struct.Struct("<IHBBH")  # frame, camera, rows, cols, detections
 _FEEDBACK_HEAD = struct.Struct("<IHdH")  # frame, camera, tau, boxes
-_DET = struct.Struct("<6ddB")  # bbox x,y,w,h + ground x,y + score + stale flag
+_DET = struct.Struct("<6dB")  # bbox x,y,w,h + ground x,y + stale flag
 _BOX = struct.Struct("<4d")
 
 
@@ -158,10 +160,14 @@ def _encode_detections(dets: tuple[Detection, ...]) -> bytes:
             d.bbox.h,
             d.ground.x,
             d.ground.y,
-            d.score,
             1 if d.stale else 0,
         )
     return bytes(out)
+
+
+def _check_finite(what: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise MalformedPayload(f"{what}: non-finite value in {values}")
 
 
 def _decode_detections(
@@ -169,14 +175,15 @@ def _decode_detections(
 ) -> tuple[Detection, ...]:
     dets = []
     for i in range(count):
-        x, y, w, h, gx, gy, score, stale = _DET.unpack_from(data, off + i * _DET.size)
+        x, y, w, h, gx, gy, stale = _DET.unpack_from(data, off + i * _DET.size)
         if stale > 1:
             raise MalformedPayload(f"detection {i}: stale flag {stale}")
+        _check_finite(f"detection {i}", x, y, w, h, gx, gy)
         try:
             box = BBox(x, y, w, h)
         except ValueError as exc:
             raise MalformedPayload(f"detection {i}: {exc}") from exc
-        dets.append(Detection(camera_id, box, GroundPoint(gx, gy), score, bool(stale)))
+        dets.append(Detection(camera_id, box, GroundPoint(gx, gy), bool(stale)))
     return tuple(dets)
 
 
@@ -232,11 +239,13 @@ def _decode_block_update(payload: bytes) -> BlockUpdate:
 
 def _decode_server_feedback(payload: bytes) -> ServerFeedback:
     frame_id, camera_id, tau, n_topk = _FEEDBACK_HEAD.unpack_from(payload)
+    _check_finite("feedback tau", tau)
     off = _FEEDBACK_HEAD.size
     _check_records(payload, off, n_topk, _BOX.size)
     boxes = []
     for i in range(n_topk):
         x, y, w, h = _BOX.unpack_from(payload, off + _BOX.size * i)
+        _check_finite(f"feedback box {i}", x, y, w, h)
         try:
             boxes.append(BBox(x, y, w, h))
         except ValueError as exc:

@@ -11,7 +11,7 @@ from test_geometry import blocks_for_bbox
 
 def det(cam, x, y, area=800.0):
     w = area**0.5
-    return Detection(cam, BBox(50.0, 50.0, w, area / w), GroundPoint(x, y), 0.9, False)
+    return Detection(cam, BBox(50.0, 50.0, w, area / w), GroundPoint(x, y), False)
 
 
 def view(cam, points, areas=None):
@@ -217,7 +217,6 @@ class TestAssignCameras:
                     cam,
                     BBox(rng.uniform(0, 1000), rng.uniform(0, 500), rng.uniform(20, 120), rng.uniform(40, 130)),
                     GroundPoint(rng.uniform(0, 12), rng.uniform(0, 36)),
-                    0.9,
                     False,
                 )
                 for _ in range(6)

@@ -118,6 +118,16 @@ def test_bad_camera_document_exits_with_config_error(tmp_path, capsys):
     assert "config error" in err and "cameras[0].camera_id must be int, got 1.7" in err
 
 
+def test_non_finite_calibration_exits_with_config_error(tmp_path, capsys):
+    doc = config_to_dict(RunConfig())
+    doc["cameras"][0]["translation"][0] = float("nan")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))  # written as .nan
+    assert main(["simulate", "--config", str(bad), "--frames", "3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "cameras[0]" in err and "finite" in err
+
+
 def test_missing_report_args(capsys):
     assert main(["report"]) == EXIT_CONFIG
 

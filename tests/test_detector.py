@@ -222,17 +222,17 @@ class TestSimulateViewDetections:
 
 
 class TestFuseGroundPlane:
-    def _det(self, cam_id, x, y, score=0.8):
+    def _det(self, cam_id, x, y):
         from mvsparse.detector import Detection
         from mvsparse.geometry import BBox
 
-        return Detection(cam_id, BBox(0, 0, 10, 20), GroundPoint(x, y), score, False)
+        return Detection(cam_id, BBox(0, 0, 10, 20), GroundPoint(x, y), False)
 
     def test_singleton_cluster_keeps_its_point(self):
         assert fuse_ground_plane([Cluster([self._det(0, 3.0, 4.0)])]) == [GroundPoint(3.0, 4.0)]
 
     def test_two_member_mean(self):
-        fused = fuse_ground_plane([Cluster([self._det(0, 0.0, 0.0, 0.5), self._det(1, 0.2, 0.0, 0.9)])])
+        fused = fuse_ground_plane([Cluster([self._det(0, 0.0, 0.0), self._det(1, 0.2, 0.0)])])
         assert fused == [GroundPoint(0.1, 0.0)]
 
     def test_empty_cluster_list(self):
@@ -285,7 +285,7 @@ def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
             ground = _reference_ground(cam, noisy)
             if ground is None:
                 continue
-            det = Detection(cam.camera_id, noisy, ground, float(min(1.0, max(0.0, visibility))), stale=False)
+            det = Detection(cam.camera_id, noisy, ground, stale=False)
             detections.append(det)
             stale[pid] = (frame_id, det)
         elif pid in stale:
@@ -307,8 +307,7 @@ def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
                 ground = _reference_ground(cam, box)
                 if ground is None:
                     continue
-                score = float(frng.uniform(0.2, 0.7))
-                detections.append(Detection(cam.camera_id, box, ground, score, stale=False))
+                detections.append(Detection(cam.camera_id, box, ground, stale=False))
     new_state = ViewState(cam, vs.grid, vs.seed, last_refresh, stale)
     return tuple(detections), new_state
 

@@ -130,7 +130,7 @@ class TestFinalize:
 
 
 def det_with_blocks(cam, gx, gy, x, y, w=60.0, h=90.0):
-    return Detection(cam, BBox(x, y, w, h), G(gx, gy), 0.9, False)
+    return Detection(cam, BBox(x, y, w, h), G(gx, gy), False)
 
 
 class TestOracleSelect:

@@ -96,7 +96,7 @@ def test_match_points_equals_scalar_reference(gt, pred, radius):
 def test_cluster_detections_equals_scalar_reference(view_points, eps):
     box = BBox(0.0, 0.0, 1.0, 1.0)
     views = [
-        tuple(Detection(cam, box, p, 0.5, False) for p in ps) for cam, ps in enumerate(view_points)
+        tuple(Detection(cam, box, p, False) for p in ps) for cam, ps in enumerate(view_points)
     ]
     got = [cl.members for cl in cluster_detections(views, eps)]
     assert got == _reference_cluster_members(views, eps)

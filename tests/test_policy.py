@@ -39,7 +39,6 @@ def blank_state(frame_id=10, **overrides):
         topk_boxes=(),
         mask=np.zeros(GRID.shape, dtype=np.uint8),
         prev_detection_boxes=(),
-        prev_actions=np.zeros(GRID.shape, dtype=np.uint8),
         last_refresh=np.full(GRID.shape, -1, dtype=np.int64),
         detection_history={},
     )
@@ -63,7 +62,7 @@ def det_at_block(row=0, col=0, gx=1.0, gy=1.0, cover_full=True):
         box = BBox(x0, y0, x1 - x0, y1 - y0)
     else:
         box = BBox(x0, y0, (x1 - x0) / 2, y1 - y0)
-    return Detection(0, box, GroundPoint(gx, gy), 0.9, False)
+    return Detection(0, box, GroundPoint(gx, gy), False)
 
 
 class TestExtractBlockFeatures:
@@ -110,14 +109,13 @@ class TestExtractBlockFeatures:
             prev_frame=prev,
             topk_boxes=boxes,
             prev_detection_boxes=boxes[:3],
-            prev_actions=rng.integers(0, 2, size=GRID.shape).astype(np.uint8),
             last_refresh=rng.integers(-1, 10, size=GRID.shape),
         )
         feats = extract_block_features(state, GRID, CFG)
         assert (feats >= 0).all() and (feats <= 1).all()
 
     def test_dimension_mismatch(self):
-        state = blank_state(prev_actions=np.zeros((3, 3), dtype=np.uint8))
+        state = blank_state(last_refresh=np.full((3, 3), -1, dtype=np.int64))
         with pytest.raises(DimensionMismatch):
             extract_block_features(state, GRID, CFG)
 
@@ -379,6 +377,18 @@ class TestPolicyAgent:
         expected = np.clip((t - last_refresh) / CFG.full_refresh_interval, 0.0, 1.0)
         assert np.array_equal(features[:, 5], expected.reshape(GRID.n_blocks))
 
+    def test_previous_action_is_the_last_frames_refresh(self):
+        agent = PolicyAgent(0, GRID, CFG, np.random.default_rng(0))
+        last_refresh = np.full(GRID.shape, -1, dtype=np.int64)
+        previous = np.zeros(GRID.shape, dtype=np.uint8)  # no block processed before frame 1
+        for t in (1, 2, 3):
+            actions = agent.act(ViewPaint(1152, 640, ()), t, last_refresh).actions
+            _, features, *_ = agent._pending
+            assert np.array_equal(features[:, 4], previous.reshape(GRID.n_blocks))
+            agent.finish_frame(t, (), (), np.zeros(GRID.shape, dtype=np.uint8), 0.5)
+            last_refresh = np.where(actions != 0, t, last_refresh)
+            previous = actions
+
 
 # --- pixel reference ---------------------------------------------------------
 # Raster implementations of the block features and the information gain: the
@@ -436,7 +446,7 @@ def reference_features(state, grid, cfg):
     feats[:, 1] = state.mask.reshape(n).astype(float)
     feats[:, 2] = det_cov.reshape(n)
     feats[:, 3] = topk_cov.reshape(n)
-    feats[:, 4] = state.prev_actions.reshape(n).astype(float)
+    feats[:, 4] = (state.last_refresh.reshape(n) == state.frame_id - 1).astype(float)
     feats[:, 5] = staleness.reshape(n)
     feats[:, 6] = 1.0
     return feats
@@ -543,7 +553,6 @@ def policy_states(draw):
         topk_boxes=tuple(draw(boxes(grid))),
         mask=np.array(draw(bits), dtype=np.uint8).reshape(grid.shape),
         prev_detection_boxes=tuple(draw(boxes(grid))),
-        prev_actions=np.array(draw(bits), dtype=np.uint8).reshape(grid.shape),
         last_refresh=np.array(draw(refresh), dtype=np.int64).reshape(grid.shape),
         detection_history=history,
     )
@@ -566,7 +575,7 @@ def test_block_features_equal_the_pixel_reference(case, cfg):
 def test_information_gain_equals_the_pixel_reference(case, cfg, data):
     grid, state = case
     dets = tuple(
-        Detection(0, box, data.draw(st.sampled_from(GROUNDS)), 0.9, False)
+        Detection(0, box, data.draw(st.sampled_from(GROUNDS)), False)
         for box in data.draw(boxes(grid))
     )
     bits = st.lists(st.integers(0, 1), min_size=grid.n_blocks, max_size=grid.n_blocks)

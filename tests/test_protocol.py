@@ -1,3 +1,4 @@
+import math
 import socket
 import struct
 from pathlib import Path
@@ -11,6 +12,7 @@ from mvsparse.detector import Detection
 from mvsparse.geometry import BBox, GroundPoint
 from mvsparse.runtime.config import RunConfig
 from mvsparse.runtime.protocol import (
+    _DET,
     VERSION,
     BadMagic,
     BlockUpdate,
@@ -44,7 +46,6 @@ def sample_update(popcount=7, n_dets=3, frame_id=12):
             2,
             BBox(rng.uniform(0, 1000), rng.uniform(0, 500), rng.uniform(5, 80), rng.uniform(5, 120)),
             GroundPoint(rng.uniform(0, 12), rng.uniform(0, 36)),
-            float(rng.uniform(0, 1)),
             bool(rng.random() < 0.5),
         )
         for _ in range(n_dets)
@@ -86,6 +87,12 @@ class TestRoundTrip:
         msg2, _ = decode_message((a + b)[used:])
         assert msg2 == sample_update()
 
+    def test_detection_record_is_49_bytes(self):
+        # box and ground point as six doubles, then the stale flag
+        assert _DET.size == 49
+        three, none = (encode_message(sample_update(n_dets=n)) for n in (3, 0))
+        assert len(three) - len(none) == 3 * 49
+
     def test_payload_blocks_is_popcount(self):
         update = sample_update(popcount=11)
         assert update.payload_blocks == 11
@@ -116,6 +123,12 @@ class TestTypedErrors:
         # a version 3 hello carried the camera id alone
         with pytest.raises(VersionMismatch):
             decode_message(_header(version=3, mtype=1, length=2) + b"\x00\x00")
+
+    def test_version_4_update_rejected(self):
+        # a version 4 detection record also carried a score: 57 bytes
+        payload = _update_payload(struct.pack("<6ddB", 10, 20, 30, 60, 1.5, 2.5, 0.9, 0))
+        with pytest.raises(VersionMismatch):
+            decode_message(_header(version=4, mtype=2, length=len(payload)) + payload)
 
     def test_hello_digest_must_be_32_bytes(self):
         with pytest.raises(ValueError, match="32"):
@@ -176,6 +189,12 @@ class TestTypedErrors:
 
 def _header(magic=b"MVSP", version=VERSION, mtype=2, length=0):
     return struct.pack("<4sBBI", magic, version, mtype, length)
+
+
+def _update_payload(record: bytes) -> bytes:
+    """Frame 0 of camera 0 on a 1x1 grid, its block fresh, with one
+    detection record."""
+    return struct.pack("<IHBBH", 0, 0, 1, 1, 1) + b"\x01" + record
 
 
 @pytest.fixture
@@ -246,6 +265,56 @@ class TestCanonicalFrames:
         data[-1] = 2  # the stale flag is the last byte of a detection record
         with pytest.raises(MalformedPayload, match="stale flag"):
             decode_message(bytes(data))
+
+
+def _update_frame(x, y, w, h, gx, gy):
+    payload = _update_payload(struct.pack("<6dB", x, y, w, h, gx, gy, 1))
+    return _header(mtype=2, length=len(payload)) + payload
+
+
+def _feedback_frame(tau, x, y, w, h):
+    payload = struct.pack("<IHdH", 0, 0, tau, 1) + struct.pack("<4d", x, y, w, h)
+    return _header(mtype=3, length=len(payload)) + payload
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
+# each frame builder with the strategy of each of its doubles
+RECORDS = [
+    (_update_frame, [FINITE, FINITE, POSITIVE, POSITIVE, FINITE, FINITE]),
+    (_feedback_frame, [FINITE, FINITE, FINITE, POSITIVE, POSITIVE]),
+]
+
+
+class TestNonFiniteValues:
+    """A NaN or an infinity in any double of a record does not decode."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            _update_frame(math.nan, 20.0, 30.0, 60.0, 1.5, 2.5),
+            _update_frame(10.0, 20.0, 30.0, 60.0, math.inf, 2.5),
+            _feedback_frame(math.nan, 10.0, 20.0, 30.0, 60.0),
+            _feedback_frame(0.5, -math.inf, 20.0, 30.0, 60.0),
+        ],
+        ids=["update-box-x-nan", "update-ground-x-inf", "feedback-tau-nan", "feedback-box-x-minus-inf"],
+    )
+    def test_refused(self, frame):
+        with pytest.raises(MalformedPayload, match="non-finite"):
+            decode_message(frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_finite_records_round_trip_and_any_non_finite_double_is_refused(self, data):
+        build, fields = data.draw(st.sampled_from(RECORDS))
+        values = [data.draw(f) for f in fields]
+        frame = build(*values)
+        msg, used = decode_message(frame)
+        assert used == len(frame) and encode_message(msg) == frame
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(NON_FINITE)
+        with pytest.raises(MalformedPayload):
+            decode_message(build(*values))
 
 
 VALID_FRAMES = [
