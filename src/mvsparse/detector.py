@@ -41,6 +41,14 @@ class DetectorConfig:
     fp_rate: float = 0.1  # Poisson rate of false positives per view-frame
     min_box_height_px: float = 36.0  # smaller projections are undetectable
 
+    def __post_init__(self):
+        for name in ("v_min", "p_miss"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("sigma_px", "fp_rate", "min_box_height_px"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class Detection:

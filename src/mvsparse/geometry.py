@@ -283,20 +283,13 @@ class BlockGrid:
 
 def block_range(grid: BlockGrid, box: BBox) -> tuple[int, int, int, int] | None:
     """Inclusive row and column range ``(r0, r1, c0, c1)`` of the grid cells
-    whose pixel extent intersects the box (clamped to the image); None when
-    it touches none."""
-    w, h = grid.image_size
-    clamped = box.clamped(w, h)
-    if clamped is None:
+    holding a pixel of the box's ``pixel_bounds`` span; None when the span
+    is empty."""
+    x0, y0, x1, y1 = box.pixel_bounds(*grid.image_size)
+    if x1 <= x0 or y1 <= y0:
         return None
     B = grid.block_size
-    c0 = int(clamped.x // B)
-    c1 = min(int(min(clamped.x + clamped.w, w) - 1e-9) // B, grid.cols - 1)
-    r0 = int(clamped.y // B)
-    r1 = min(int(min(clamped.y + clamped.h, h) - 1e-9) // B, grid.rows - 1)
-    if r1 < r0 or c1 < c0:
-        return None
-    return r0, r1, c0, c1
+    return y0 // B, (y1 - 1) // B, x0 // B, (x1 - 1) // B
 
 
 def bbox_block_mask(grid: BlockGrid, boxes: list[BBox]) -> np.ndarray:

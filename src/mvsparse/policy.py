@@ -55,6 +55,8 @@ class PolicyConfig:
             raise ValueError("alpha must be positive")
         if self.train_interval < 1:
             raise ValueError("train_interval must be >= 1")
+        if not 0 < self.p_floor < 0.5:
+            raise ValueError(f"p_floor must be in (0, 0.5), got {self.p_floor}")
 
 
 @dataclass

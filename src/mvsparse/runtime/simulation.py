@@ -46,25 +46,29 @@ class SceneSource:
     def __init__(self, cfg: RunConfig):
         self._cfg = cfg
         self._scene_cfg: SceneConfig = cfg.scene
-        self._replay: list[SceneFrame] | None = None
+        self._replay: dict[int, SceneFrame] | None = None
         if cfg.trajectories:
             try:
-                self._replay = load_trajectories(
+                frames = load_trajectories(
                     cfg.trajectories, cfg.scene.ped_height, cfg.scene.ped_radius
                 )
             except (TrajectoryError, OSError) as exc:
                 raise ConfigError(f"trajectories: {exc}") from exc
-            if len(self._replay) < cfg.frames:
+            self._replay = {f.frame_id: f for f in frames}
+            last = max(self._replay, default=-1)
+            if last + 1 < cfg.frames:
                 raise ConfigError(
-                    f"trajectory file holds {len(self._replay)} frames, run wants {cfg.frames}"
+                    f"trajectory file ends at frame {last}, run wants {cfg.frames} frames"
                 )
         self._rng = rngmod.substream(cfg.seed, rngmod.SCENE)
         self._current: SceneFrame | None = None
 
     def frame(self, frame_id: int) -> SceneFrame:
-        """Scene at the given frame; must be called with consecutive ids."""
+        """Scene at the given frame; must be called with consecutive ids. A
+        replay gives the file's records with this frame id, no walkers if
+        it has none."""
         if self._replay is not None:
-            return self._replay[frame_id]
+            return self._replay.get(frame_id, SceneFrame(frame_id, ()))
         if frame_id == 0:
             if self._current is None:
                 self._current = init_scene(self._scene_cfg, self._rng)
@@ -237,19 +241,20 @@ class ServerEngine:
 
 def profile_static_masks(cfg: RunConfig) -> dict[int, np.ndarray]:
     """Offline profiling for static_mask mode: run the first frames fully
-    processed and freeze the union of the block masks of each view's
-    assigned boxes."""
+    processed and freeze the union of the block masks of the boxes the
+    server assigns each view."""
     source = SceneSource(cfg)
     runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
+    engine = ServerEngine(cfg)
     union = {cam: np.zeros(cfg.grid.shape, dtype=np.uint8) for cam in cfg.camera_ids}
     ones = np.ones(cfg.grid.shape, dtype=np.uint8)
     for t in range(min(cfg.static_mask_profile_frames, cfg.frames)):
         scene = source.frame(t)
-        updates = [rt.begin_frame(scene, t, actions_override=ones) for rt in runtimes]
-        clusters = cluster_detections([u.detections for u in updates], cfg.cluster_eps)
-        selected = assign_cameras(clusters, cfg.k_views, cfg.camera_ids)
-        for cam in cfg.camera_ids:
-            union[cam] |= bbox_block_mask(cfg.grid, [d.bbox for d in selected[cam]])
+        updates = {
+            rt.camera.camera_id: rt.begin_frame(scene, t, actions_override=ones) for rt in runtimes
+        }
+        for cam, feedback in engine.process(t, updates, scene.ground_points()).items():
+            union[cam] |= bbox_block_mask(cfg.grid, feedback.topk_boxes)
     return union
 
 

@@ -30,6 +30,11 @@ class TrackerConfig:
     max_misses: int = 10
     min_hits: int = 2
 
+    def __post_init__(self):
+        for name in ("process_noise", "measurement_noise", "init_velocity_var", "max_misses"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass
 class Track:

@@ -2,10 +2,15 @@
 
 One test per criterion; each prints a PASS line when it holds (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them live). The long
-scenario runs are shared through module-scoped fixtures.
+scenario runs are shared through module-scoped fixtures, which run them in
+parallel worker processes.
 """
 
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -41,23 +46,61 @@ def scenario_cfg(mode, seed, frames=1000, k_views=3):
     return RunConfig(mode=mode, frames=frames, seed=seed, k_views=k_views)
 
 
+# the independent 1000-frame runs the fixtures below share, as
+# (mode, seed, k_views): full and mvsparse on three seeds, oracle at
+# K = 1, 2, 3 and blockcopy
+SCENES = (
+    [(mode, seed, 3) for seed in (11, 12, 13) for mode in ("full", "mvsparse")]
+    + [("oracle", 11, k) for k in (1, 2, 3)]
+    + [("blockcopy", 11, 3)]
+)
+
+
 @pytest.fixture(scope="module")
-def trade_off_runs():
-    """full and mvsparse reports on the benchmark scene, three seeds."""
-    t0 = time.monotonic()
-    runs = {}
-    for seed in (11, 12, 13):
-        runs[seed] = {
-            "full": run_sim(scenario_cfg("full", seed)),
-            "mvsparse": run_sim(scenario_cfg("mvsparse", seed)),
+def scene_runs():
+    """Submit every shared run at once to one pool of at most four worker
+    processes, where a RuntimeWarning is an error too; yields the submit
+    time and each run's future. Runs no test waited for are cancelled at
+    teardown. Workers are spawned, since the test process may hold threads."""
+    pool = ProcessPoolExecutor(
+        min(4, os.cpu_count() or 1),
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=warnings.simplefilter,
+        initargs=("error", RuntimeWarning),
+    )
+    try:
+        t0 = time.monotonic()
+        futures = {
+            (mode, seed, k): pool.submit(run_sim, scenario_cfg(mode, seed, k_views=k))
+            for mode, seed, k in SCENES
         }
+        yield t0, futures
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def trade_off_runs(scene_runs):
+    """full and mvsparse reports on the benchmark scene, three seeds."""
+    t0, futures = scene_runs
+    runs = {
+        seed: {mode: futures[mode, seed, 3].result() for mode in ("full", "mvsparse")}
+        for seed in (11, 12, 13)
+    }
     runs["elapsed"] = time.monotonic() - t0
     return runs
 
 
 @pytest.fixture(scope="module")
-def oracle_runs():
-    return {k: run_sim(scenario_cfg("oracle", 11, k_views=k)) for k in (1, 2, 3)}
+def oracle_runs(scene_runs):
+    _, futures = scene_runs
+    return {k: futures["oracle", 11, k].result() for k in (1, 2, 3)}
+
+
+@pytest.fixture(scope="module")
+def blockcopy_run(scene_runs):
+    _, futures = scene_runs
+    return futures["blockcopy", 11, 3].result()
 
 
 class TestCriterion1Grid:
@@ -301,15 +344,14 @@ class TestModeLatticeInvariant:
     """Runtime invariant: oracle(K=1) <= mvsparse <= blockcopy <= full on the
     converged tail of the benchmark scene."""
 
-    def test_block_ordering_across_modes(self, oracle_runs, trade_off_runs):
+    def test_block_ordering_across_modes(self, oracle_runs, trade_off_runs, blockcopy_run):
         def tail(report):
             series = report["series"]["blocks"]
             return float(np.mean(series[-200:])) / (4 * 45)
 
-        blockcopy = run_sim(scenario_cfg("blockcopy", 11))
         o = tail(oracle_runs[1])
         m = tail(trade_off_runs[11]["mvsparse"])
-        b = tail(blockcopy)
+        b = tail(blockcopy_run)
         assert o <= m <= b <= 1.0
         print(
             f"\nmode lattice (fraction of blocks, last 200 frames): "

@@ -139,6 +139,13 @@ def test_negative_seed_exits_with_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_out_of_range_model_value_exits_with_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("frames: 1\ndetector:\n  p_miss: 1.5\n")
+    assert main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "rows",
     ["0 0 5.0\n", "0 -1 5.0 6.0\n", f"0 {2**64} 5.0 6.0\n", None],

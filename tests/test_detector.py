@@ -51,6 +51,18 @@ class TestSimulateViewDetections:
         assert got == {box for _, box, _ in gt}
         assert all(not d.stale for d in dets)
 
+    def test_box_past_a_block_edge_by_a_sliver_is_fresh_in_that_block(self):
+        # the box's pixel span reaches pixel column 128, so a fresh block
+        # column 1 alone refreshes it
+        cam = make_cam()
+        grid = BlockGrid.for_image(1152, 640, 128)
+        box = BBox(10, 100, 118.0000000001, 60)
+        actions = np.zeros(grid.shape)
+        actions[:, 1] = 1
+        vs = ViewState.initial(cam, grid, seed=3)
+        dets, _ = simulate_view_detections(vs, actions, ((0, box, 1.0),), 0, PERFECT)
+        assert [(d.bbox, d.stale) for d in dets] == [(box, False)]
+
     def test_no_actions_ever_means_no_detections(self):
         cam = make_cam()
         grid = BlockGrid.for_image(1152, 640, 128)

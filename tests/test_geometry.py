@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvsparse.geometry import (
@@ -19,6 +19,7 @@ from mvsparse.geometry import (
     image_to_ground,
     project_world_point,
 )
+from mvsparse.policy import _Cells
 
 # Scalar references the tests compare the program against; the program
 # itself works on cell ranges and stacked solves.
@@ -241,19 +242,10 @@ def test_pixel_bounds_equals_numpy_floor_ceil(x, y, w, h, width, height):
 
 
 def _reference_blocks_for_bbox(grid: BlockGrid, box: BBox) -> set[tuple[int, int]]:
-    """The cell-set arithmetic ``blocks_for_bbox`` had before ``block_range``."""
-    w, h = grid.image_size
-    clamped = box.clamped(w, h)
-    if clamped is None:
-        return set()
+    """The cells holding a pixel of the box's integer span, pixel by pixel."""
+    x0, y0, x1, y1 = box.pixel_bounds(*grid.image_size)
     B = grid.block_size
-    c0 = int(clamped.x // B)
-    c1 = int(min(clamped.x + clamped.w, w) - 1e-9) // B
-    r0 = int(clamped.y // B)
-    r1 = int(min(clamped.y + clamped.h, h) - 1e-9) // B
-    c1 = min(int(c1), grid.cols - 1)
-    r1 = min(int(r1), grid.rows - 1)
-    return {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)}
+    return {(r, c) for r in {y // B for y in range(y0, y1)} for c in {x // B for x in range(x0, x1)}}
 
 
 # corners and extents on and next to the 128 px block edges, plus slivers
@@ -290,6 +282,19 @@ def test_bbox_block_mask_is_the_union_of_cell_sets(grid, boxes):
             expected[cell] = 1
     got = bbox_block_mask(grid, boxes)
     assert got.dtype == np.uint8 and np.array_equal(got, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid, _boxes)
+@example(BlockGrid.for_image(1152, 640, 128), [(10.0, 100.0, 118.0000000001, 60.0)])
+def test_bbox_block_mask_marks_the_blocks_the_policy_counts_box_pixels_in(grid, boxes):
+    # the block masks and the policy's coverage features share one rule;
+    # the example's pixel span reaches column 128, one pixel into block 1
+    boxes = [BBox(*b) for b in boxes]
+    spans = [box.pixel_bounds(*grid.image_size) for box in boxes]
+    cells = _Cells(grid, spans)
+    covered = cells.block_counts(cells.covered(spans)) > 0
+    assert np.array_equal(bbox_block_mask(grid, boxes) != 0, covered)
 
 
 def _scalar_ground(cam: CameraModel, u: float, v: float):

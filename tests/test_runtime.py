@@ -181,6 +181,19 @@ class TestConfig:
             {"policy": {"train_interval": 0}},
             {"compression_factor": 0},
             {"network": {"bandwidth_bytes_per_s": 0}},
+            {"detector": {"p_miss": 1.5}},
+            {"detector": {"p_miss": float("nan")}},
+            {"detector": {"v_min": -0.1}},
+            {"detector": {"sigma_px": -1.0}},
+            {"detector": {"fp_rate": -1}},
+            {"detector": {"min_box_height_px": -1.0}},
+            {"tracker": {"measurement_noise": -1}},
+            {"tracker": {"process_noise": -1.0}},
+            {"tracker": {"init_velocity_var": -1.0}},
+            {"tracker": {"max_misses": -1}},
+            {"policy": {"p_floor": 0.7}},
+            {"policy": {"p_floor": 0.5}},
+            {"policy": {"p_floor": 0}},
         ],
         ids=[
             "nested-unknown-key",
@@ -212,6 +225,19 @@ class TestConfig:
             "train-interval-zero",
             "compression-factor-zero",
             "bandwidth-zero",
+            "p-miss-above-one",
+            "p-miss-nan",
+            "v-min-negative",
+            "sigma-px-negative",
+            "fp-rate-negative",
+            "min-box-height-negative",
+            "measurement-noise-negative",
+            "process-noise-negative",
+            "init-velocity-var-negative",
+            "max-misses-negative",
+            "p-floor-above-half",
+            "p-floor-half",
+            "p-floor-zero",
         ],
     )
     def test_malformed_documents_are_config_errors(self, doc):
@@ -449,6 +475,15 @@ class TestModes:
         cfg = small_cfg(mode="full", frames=1).with_overrides(trajectories=str(traj))
         with pytest.raises(ConfigError, match="trajectories"):
             run_sim(cfg)
+
+    def test_trajectory_replays_each_frame_by_its_id(self, tmp_path):
+        # run frame 1 has no records, so it replays no walkers
+        traj = tmp_path / "gap.txt"
+        traj.write_text("0 0 5.0 6.0\n2 1 4.0 8.0\n")
+        cfg = small_cfg(mode="full", frames=3).with_overrides(trajectories=str(traj))
+        report = run_sim(cfg)
+        assert report["completed_frames"] == 3
+        assert report["scores"]["gt_total"] == 2
 
     def test_trajectory_too_short_is_config_error(self, tmp_path):
         traj = tmp_path / "short.txt"
