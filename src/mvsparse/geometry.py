@@ -57,17 +57,17 @@ def gated_distances(a: list[GroundPoint], b: list[GroundPoint], eps: float) -> n
     ``a[i].distance_to(b[j])`` bit for bit (np.hypot does not). Pairs outside
     the box are at least eps apart, since hypot(dx, dy) >= max(|dx|, |dy|),
     so a ``< eps`` gate reads the same on this matrix as on the full one.
+    The pairs are indexed flat: np.nonzero of a 2-d mask costs several times
+    more than of a flat one.
     """
     pa = np.array([(p.x, p.y) for p in a], dtype=float).reshape(-1, 2)
     pb = np.array([(p.x, p.y) for p in b], dtype=float).reshape(-1, 2)
-    dx = pa[:, None, 0] - pb[None, :, 0]
-    dy = pa[:, None, 1] - pb[None, :, 1]
+    dx = (pa[:, None, 0] - pb[None, :, 0]).ravel()
+    dy = (pa[:, None, 1] - pb[None, :, 1]).ravel()
     out = np.full(dx.shape, np.inf)
-    rows, cols = np.nonzero((np.abs(dx) < eps) & (np.abs(dy) < eps))
-    out[rows, cols] = [
-        math.hypot(x, y) for x, y in zip(dx[rows, cols].tolist(), dy[rows, cols].tolist())
-    ]
-    return out
+    near = np.flatnonzero((np.abs(dx) < eps) & (np.abs(dy) < eps))
+    out[near] = [math.hypot(x, y) for x, y in zip(dx[near].tolist(), dy[near].tolist())]
+    return out.reshape(len(pa), len(pb))
 
 
 @dataclass(frozen=True)

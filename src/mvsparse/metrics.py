@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .association import match_bipartite
+from .association import match_bipartite, solve_assignment
 from .detector import Detection
 from .geometry import BBox, BlockGrid, GroundPoint, bbox_block_mask, gated_distances, left_sum
 
@@ -86,7 +85,8 @@ class MetricAccumulator:
             self._co_presence[key] = self._co_presence.get(key, 0) + 1
 
     def _identity_scores(self) -> tuple[int, int, int]:
-        """(IDTP, IDFP, IDFN) from the optimal identity assignment."""
+        """(IDTP, IDFP, IDFN) from the optimal identity assignment. IDTP is
+        an integer sum, so every optimal assignment gives the same scores."""
         if not self._co_presence:
             return 0, self.trk_pred_total, self.trk_gt_total
         gt_ids = sorted({g for g, _ in self._co_presence})
@@ -96,7 +96,7 @@ class MetricAccumulator:
         gain = np.zeros((len(gt_ids), len(trk_ids)))
         for (g, t), n in self._co_presence.items():
             gain[gt_row[g], trk_col[t]] = n
-        rows, cols = linear_sum_assignment(gain, maximize=True)
+        rows, cols = solve_assignment(-gain)
         idtp = int(gain[rows, cols].sum())
         return idtp, self.trk_pred_total - idtp, self.trk_gt_total - idtp
 

@@ -19,11 +19,11 @@ as immutable values; agents never share anything.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .detector import Detection, DimensionMismatch
 from .geometry import BBox, BlockGrid, GroundPoint
@@ -202,6 +202,20 @@ def extract_block_features(
     return feats
 
 
+# the largest double whose exp is finite; math.exp raises above it
+_EXP_MAX = 709.782712893384
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function of each entry of a vector, 1 / (1 + exp(-x)) with
+    libm's ``exp`` (``math.exp``): the usual ``expit`` formula, bit for bit
+    (``np.exp`` can differ from libm in the last place). Where exp(-x)
+    overflows, the result is 1 / (1 + inf) = 0."""
+    t = -z
+    t[t > _EXP_MAX] = np.inf
+    return 1.0 / (1.0 + np.fromiter(map(math.exp, t.tolist()), float, len(t)))
+
+
 def forward(params: PolicyParams, features: np.ndarray, p_floor: float = 1e-4) -> np.ndarray:
     """Per-block selection probabilities, clamped away from 0 and 1."""
     if features.shape[1] != params.weights.shape[0]:
@@ -209,7 +223,7 @@ def forward(params: PolicyParams, features: np.ndarray, p_floor: float = 1e-4) -
             f"{features.shape[1]} features vs {params.weights.shape[0]} weights"
         )
     z = features @ params.weights
-    return np.clip(expit(z), p_floor, 1.0 - p_floor)
+    return np.clip(sigmoid(z), p_floor, 1.0 - p_floor)
 
 
 def sample_actions(
@@ -302,7 +316,7 @@ def reward(actions: np.ndarray, r_ig: np.ndarray, cost: float) -> np.ndarray:
 def _loss_gradient(weights: np.ndarray, window: list[WindowSample], p_floor: float) -> np.ndarray:
     grad = np.zeros_like(weights)
     for s in window:
-        raw = expit(s.features @ weights)
+        raw = sigmoid(s.features @ weights)
         live = (raw > p_floor) & (raw < 1.0 - p_floor)
         psi = np.clip(raw, p_floor, 1.0 - p_floor)
         grad -= s.features.T @ (s.rewards * (s.actions - psi) * live)

@@ -2,15 +2,11 @@
 
 One test per criterion; each prints a PASS line when it holds (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them live). The long
-scenario runs are shared through module-scoped fixtures, which run them in
-parallel worker processes.
+scenario runs (``SCENES``) are shared through module-scoped fixtures, which
+read them from the session's ``scene_runs`` pool in ``conftest.py``.
 """
 
-import multiprocessing
-import os
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -46,37 +42,14 @@ def scenario_cfg(mode, seed, frames=1000, k_views=3):
     return RunConfig(mode=mode, frames=frames, seed=seed, k_views=k_views)
 
 
-# the independent 1000-frame runs the fixtures below share, as
-# (mode, seed, k_views): full and mvsparse on three seeds, oracle at
-# K = 1, 2, 3 and blockcopy
+# the independent 1000-frame runs that the session's pool runs and the
+# fixtures below share, as (mode, seed, k_views): full and mvsparse on three
+# seeds, oracle at K = 1, 2, 3 and blockcopy
 SCENES = (
     [(mode, seed, 3) for seed in (11, 12, 13) for mode in ("full", "mvsparse")]
     + [("oracle", 11, k) for k in (1, 2, 3)]
     + [("blockcopy", 11, 3)]
 )
-
-
-@pytest.fixture(scope="module")
-def scene_runs():
-    """Submit every shared run at once to one pool of at most four worker
-    processes, where a RuntimeWarning is an error too; yields the submit
-    time and each run's future. Runs no test waited for are cancelled at
-    teardown. Workers are spawned, since the test process may hold threads."""
-    pool = ProcessPoolExecutor(
-        min(4, os.cpu_count() or 1),
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=warnings.simplefilter,
-        initargs=("error", RuntimeWarning),
-    )
-    try:
-        t0 = time.monotonic()
-        futures = {
-            (mode, seed, k): pool.submit(run_sim, scenario_cfg(mode, seed, k_views=k))
-            for mode, seed, k in SCENES
-        }
-        yield t0, futures
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,24 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
-from mvsparse.association import Cluster, assign_cameras, cluster_detections, match_bipartite
+from mvsparse.association import (
+    Cluster,
+    assign_cameras,
+    cluster_detections,
+    match_bipartite,
+    solve_assignment,
+)
 from mvsparse.detector import Detection
-from mvsparse.geometry import BBox, BlockGrid, GroundPoint, bbox_block_mask
+from mvsparse.geometry import BBox, BlockGrid, GroundPoint, bbox_block_mask, gated_distances
 from test_geometry import blocks_for_bbox
+from test_pairwise import gates, points
 
 
 def det(cam, x, y, area=800.0):
@@ -19,7 +31,103 @@ def view(cam, points, areas=None):
     return tuple(det(cam, x, y, a) for (x, y), a in zip(points, areas))
 
 
+def reference_match_bipartite(cost, eps):
+    """The gated assignment as one scipy solve of the whole matrix, with the
+    flat penalty in place of every pair at or above eps: the program's code
+    before it had its own solver."""
+    cost = np.asarray(cost, dtype=float)
+    n_rows, n_cols = cost.shape
+    if n_rows == 0 or n_cols == 0:
+        return [], list(range(n_rows)), list(range(n_cols))
+    feasible = cost < eps
+    penalty = eps * (min(n_rows, n_cols) + 1.0) + 1.0
+    gated = np.where(feasible, cost, penalty)
+    rows, cols = linear_sum_assignment(gated)
+    pairs = [(int(r), int(c)) for r, c in zip(rows, cols) if feasible[r, c]]
+    matched_rows = {r for r, _ in pairs}
+    matched_cols = {c for _, c in pairs}
+    unmatched_rows = [r for r in range(n_rows) if r not in matched_rows]
+    unmatched_cols = [c for c in range(n_cols) if c not in matched_cols]
+    return pairs, unmatched_rows, unmatched_cols
+
+
+@st.composite
+def cost_matrices(draw):
+    """Up to 8x8, wide, tall or square, empty sides included; entries either
+    continuous or small integers full of ties."""
+    shape = draw(st.tuples(st.integers(0, 8), st.integers(0, 8)))
+    elements = draw(
+        st.sampled_from(
+            [
+                st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                st.integers(0, 3).map(float),
+            ]
+        )
+    )
+    return draw(arrays(float, shape, elements=elements))
+
+
+class TestSolveAssignment:
+    @settings(max_examples=1000, deadline=None)
+    @given(cost_matrices(), st.booleans())
+    @example(np.zeros((0, 4)), False)
+    @example(np.zeros((4, 0)), True)
+    @example(np.zeros((3, 5)), False)
+    def test_equals_scipy(self, cost, maximize):
+        rows, cols = linear_sum_assignment(cost, maximize=maximize)
+        assert solve_assignment(-cost if maximize else cost) == (rows.tolist(), cols.tolist())
+
+
 class TestMatchBipartite:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.integers(0, 8),
+        st.sampled_from([0.2, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_whole_matrix_solve_on_tie_free_costs(self, n_rows, n_cols, eps, seed):
+        # uniform doubles tie with probability ~0; inf marks pairs a gated
+        # distance matrix leaves out
+        rng = np.random.default_rng(seed)
+        cost = rng.random((n_rows, n_cols))
+        cost[rng.random(cost.shape) < 0.3] = np.inf
+        assert match_bipartite(cost, eps) == reference_match_bipartite(cost, eps)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            # point sets on the gate-boundary grid, as the metrics see them
+            st.tuples(points, points, gates).map(lambda a: (gated_distances(*a), a[2])),
+            st.tuples(
+                arrays(
+                    float,
+                    st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                    elements=st.integers(0, 3).map(float),
+                ),
+                st.sampled_from([1.0, 2.0, 3.5]),
+            ),
+        )
+    )
+    @example((np.array([[np.inf, 1.2404636725235848e-66], [np.inf, 0.0]]), 0.125))
+    def test_ties_keep_the_pair_count_and_total_cost(self, case):
+        # Exact ties may resolve to another optimum than the whole-matrix
+        # solve. So may costs closer than the rounding of the penalty-sized
+        # sums the solvers add: next to a penalty of 1.375 the whole-matrix
+        # solve cannot tell 1.24e-66 from 0 (the @example), while the smaller
+        # matrix match_bipartite solves holds no penalty there.
+        cost, eps = case
+        pairs, unmatched_rows, unmatched_cols = match_bipartite(cost, eps)
+        ref_pairs, _, _ = reference_match_bipartite(cost, eps)
+        assert len(pairs) == len(ref_pairs)
+        n = min(cost.shape)
+        rounding = 4 * n * math.ulp(n * (eps * (n + 1.0) + 1.0))
+        total = math.fsum(cost[p] for p in pairs)
+        assert abs(total - math.fsum(cost[p] for p in ref_pairs)) <= rounding
+        assert all(cost[p] < eps for p in pairs) and pairs == sorted(pairs)
+        assert sorted(unmatched_rows + [r for r, _ in pairs]) == list(range(cost.shape[0]))
+        assert sorted(unmatched_cols + [c for _, c in pairs]) == list(range(cost.shape[1]))
+
     def test_two_by_two_optimal(self):
         pairs, ur, uc = match_bipartite(np.array([[1.0, 3.0], [2.0, 0.5]]), eps=2.0)
         assert set(pairs) == {(0, 0), (1, 1)}

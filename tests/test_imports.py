@@ -1,5 +1,6 @@
-"""No module in src/, tests/ or perfbench/ imports a name it never uses, and
-no function, class or method of the package is left for the tests alone.
+"""No module in src/, tests/ or perfbench/ imports a name it never uses, no
+function, class or method of the package is left for the tests alone, and
+the program runs without scipy, which only the tests use as a reference.
 
 Package ``__init__.py`` files are skipped by the import check: their imports
 are the public re-exports. A name counts as used when it appears as a name
@@ -8,6 +9,9 @@ included.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +125,26 @@ def test_every_package_name_is_used_by_the_program():
         for name in defined_names(source) - used
     }
     assert sorted(dead) == []
+
+
+def test_the_program_never_imports_scipy():
+    # a fresh interpreter: this test process has scipy loaded already
+    code = (
+        "import sys\n"
+        "import mvsparse, mvsparse.runtime.cli, mvsparse.runtime.distributed\n"
+        "from mvsparse.runtime.config import MODES, RunConfig\n"
+        "from mvsparse.runtime.simulation import run_sim\n"
+        "for mode in MODES:\n"
+        "    run_sim(RunConfig(mode=mode, frames=12, seed=11))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mvsparse.detector import Detection
 from mvsparse.geometry import BBox, BlockGrid, GroundPoint
@@ -188,3 +191,33 @@ class TestOracleSelect:
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             oracle_select([], {}, k=0, grid=self.GRID)
+
+
+def reference_identity_tp(co_presence):
+    """IDTP as scipy's maximizing assignment over the co-presence counts."""
+    gt_ids = sorted({g for g, _ in co_presence})
+    trk_ids = sorted({t for _, t in co_presence})
+    gain = np.zeros((len(gt_ids), len(trk_ids)))
+    for (g, t), n in co_presence.items():
+        gain[gt_ids.index(g), trk_ids.index(t)] = n
+    rows, cols = linear_sum_assignment(gain, maximize=True)
+    return int(gain[rows, cols].sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(100, 109)),
+        st.integers(1, 4),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_identity_true_positives_equal_scipy(co_presence):
+    # small counts: many optimal assignments, one IDTP
+    acc = MetricAccumulator()
+    acc._co_presence = dict(co_presence)
+    acc.trk_pred_total = acc.trk_gt_total = sum(co_presence.values())
+    idtp, idfp, idfn = acc._identity_scores()
+    assert idtp == reference_identity_tp(co_presence)
+    assert idfp == idfn == acc.trk_pred_total - idtp

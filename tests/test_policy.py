@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -23,6 +23,7 @@ from mvsparse.policy import (
     reinforce_update,
     reward,
     sample_actions,
+    sigmoid,
     target_cost,
 )
 from mvsparse.scene import BACKGROUND, ViewPaint
@@ -143,6 +144,62 @@ class TestForward:
         feats = np.zeros((1, 7))
         feats[:, 6] = 1.0
         assert forward(params, feats)[0] == pytest.approx(0.75, abs=1e-12)
+
+
+# where exp(-x) overflows (x < -709.78) or underflows to 0 (x > 745.13), and
+# subnormals
+SIGMOID_EDGES = [
+    math.inf,
+    -math.inf,
+    math.nan,
+    709.78,
+    -709.78,
+    709.79,
+    -709.79,
+    -709.782712893384,
+    -709.7827128933841,
+    745.0,
+    -745.0,
+    745.2,
+    -745.2,
+    5e-324,
+    -5e-324,
+    2.2250738585072009e-308,
+    -1e-310,
+    0.0,
+    -0.0,
+]
+
+
+class TestSigmoid:
+    @staticmethod
+    def assert_bit_equal(z):
+        got, ref = sigmoid(z), expit(z)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        nan = np.isnan(ref)
+        assert (np.isnan(got) == nan).all()
+        assert (got[~nan].view(np.uint64) == ref[~nan].view(np.uint64)).all()
+
+    def test_edges_equal_expit_bit_for_bit(self):
+        self.assert_bit_equal(np.array(SIGMOID_EDGES))
+
+    def test_policy_range_equals_expit_bit_for_bit(self):
+        # about 2% of these differ in the last place under np.exp
+        self.assert_bit_equal(np.random.default_rng(0).uniform(-40.0, 40.0, 20_000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.floats(-40.0, 40.0),
+            ),
+            max_size=45,
+        )
+    )
+    @example([-800.0, 800.0, -709.7827128933841, 709.7827128933841])
+    def test_equals_expit_bit_for_bit(self, values):
+        self.assert_bit_equal(np.array(values, dtype=float))
 
 
 class TestSampleActions:
