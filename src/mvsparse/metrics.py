@@ -80,7 +80,8 @@ class MetricAccumulator:
                 self.id_switches += 1
             self._last_matched[gt_id] = trk_id
         # identity co-presence feeds the global IDF1 assignment
-        for gi, ti in zip(*np.nonzero(dist < self.match_radius)):
+        rows, cols = np.divmod(np.flatnonzero(dist < self.match_radius), len(tracks))
+        for gi, ti in zip(rows.tolist(), cols.tolist()):
             key = (gt[gi][0], tracks[ti][0])
             self._co_presence[key] = self._co_presence.get(key, 0) + 1
 

@@ -9,8 +9,8 @@ plain score-function policy gradient every ``train_interval`` frames.
 The camera's schematic frame is a list of painted pixel spans
 (``scene.ViewPaint``), and every box is an integer pixel span, so the
 motion, coverage and information-gain fractions are exact per-block pixel
-counts over the cells those spans cut, divided by the block areas; no
-raster is drawn.
+counts over the cells those spans cut (``geometry.SpanCells``), divided by
+the block areas; no raster is drawn.
 
 One agent per camera, single-owner mutable state. Server feedback arrives
 as immutable values; agents never share anything.
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import Detection, DimensionMismatch
-from .geometry import BBox, BlockGrid, GroundPoint
+from .geometry import BBox, BlockGrid, GroundPoint, SpanCells
+from .rng import Stream
 from .scene import BACKGROUND, ViewPaint
 
 logger = logging.getLogger(__name__)
@@ -97,63 +97,12 @@ class WindowSample:
     rewards: np.ndarray  # (n_blocks,)
 
 
-class _Cells:
-    """The image cut along every block edge and every given span edge.
-
-    Each cell lies inside one block and wholly inside or wholly outside each
-    span, so painting spans onto cells and summing the integer cell areas
-    per block gives every block's exact pixel count, with no raster. Spans
-    are (x0, y0, x1, y1) pixel bounds, inside the image unless empty. An
-    empty span (x1 <= x0 or y1 <= y0) adds no edge, and its cell range,
-    found by the monotone ``bisect_left``, is empty too.
-    """
-
-    def __init__(self, grid: BlockGrid, spans: list[tuple[int, int, int, int]]):
-        w, h = grid.image_size
-        B = grid.block_size
-        xs, ys = {*range(0, w, B), w}, {*range(0, h, B), h}
-        for x0, y0, x1, y1 in spans:
-            if x1 > x0 and y1 > y0:
-                xs.update((x0, x1))
-                ys.update((y0, y1))
-        self.xs, self.ys = sorted(xs), sorted(ys)
-        self.area = np.outer(np.diff(self.ys), np.diff(self.xs))
-        self._row_starts = [bisect_left(self.ys, y) for y in range(0, h, B)]
-        self._col_starts = [bisect_left(self.xs, x) for x in range(0, w, B)]
-
-    def _index(self, span: tuple[int, int, int, int]) -> tuple[slice, slice]:
-        """Index of the cells inside the span."""
-        x0, y0, x1, y1 = span
-        return (
-            slice(bisect_left(self.ys, y0), bisect_left(self.ys, y1)),
-            slice(bisect_left(self.xs, x0), bisect_left(self.xs, x1)),
-        )
-
-    def covered(self, spans) -> np.ndarray:
-        """Cells inside any of the spans."""
-        out = np.zeros(self.area.shape, dtype=bool)
-        for span in spans:
-            out[self._index(span)] = True
-        return out
-
-    def painted(self, paint: ViewPaint) -> np.ndarray:
-        """Intensity of every cell in the painted frame."""
-        out = np.full(self.area.shape, BACKGROUND, dtype=np.int64)
-        for v, *span in paint.rects:
-            out[self._index(span)] = v
-        return out
-
-    def moving(self, state: PolicyState, threshold: float) -> np.ndarray:
-        """Cells whose intensity changed by more than the threshold since
-        the previous frame (none on the first frame)."""
-        cur = self.painted(state.frame)
-        prev = cur if state.prev_frame is None else self.painted(state.prev_frame)
-        return np.abs(cur - prev) > threshold
-
-    def block_counts(self, cells: np.ndarray) -> np.ndarray:
-        """(rows, cols) pixel count of the selected cells in each block."""
-        per_row = np.add.reduceat(np.where(cells, self.area, 0), self._row_starts, axis=0)
-        return np.add.reduceat(per_row, self._col_starts, axis=1)
+def _moving(cells: SpanCells, state: PolicyState, threshold: float) -> np.ndarray:
+    """Cells whose intensity changed by more than the threshold since the
+    previous frame (none on the first frame)."""
+    cur = cells.painted(state.frame.rects, BACKGROUND)
+    prev = cur if state.prev_frame is None else cells.painted(state.prev_frame.rects, BACKGROUND)
+    return np.abs(cur - prev) > threshold
 
 
 def _frame_spans(state: PolicyState) -> list[tuple[int, int, int, int]]:
@@ -182,9 +131,9 @@ def extract_block_features(
 
     det_spans = _box_spans(state.prev_detection_boxes, grid)
     topk_spans = _box_spans(state.topk_boxes, grid)
-    cells = _Cells(grid, _frame_spans(state) + det_spans + topk_spans)
+    cells = SpanCells(grid, _frame_spans(state) + det_spans + topk_spans)
     counts = grid.block_pixel_counts()
-    motion = cells.block_counts(cells.moving(state, cfg.motion_threshold)) / counts
+    motion = cells.block_counts(_moving(cells, state, cfg.motion_threshold)) / counts
     det_cov = cells.block_counts(cells.covered(det_spans)) / counts
     topk_cov = cells.block_counts(cells.covered(topk_spans)) / counts
     staleness = np.clip(
@@ -227,7 +176,7 @@ def forward(params: PolicyParams, features: np.ndarray, p_floor: float = 1e-4) -
 
 
 def sample_actions(
-    probs: np.ndarray, rng: np.random.Generator, force_full: bool = False
+    probs: np.ndarray, rng: Stream, force_full: bool = False
 ) -> np.ndarray:
     """Independent Bernoulli draws; a forced frame processes every block and
     consumes no randomness."""
@@ -259,8 +208,8 @@ def information_gain(
         return out
 
     det_spans = _box_spans([d.bbox for d in current], grid)
-    cells = _Cells(grid, _frame_spans(state) + det_spans)
-    moving_in_dets = cells.moving(state, cfg.motion_threshold) & cells.covered(det_spans)
+    cells = SpanCells(grid, _frame_spans(state) + det_spans)
+    moving_in_dets = _moving(cells, state, cfg.motion_threshold) & cells.covered(det_spans)
 
     # novelty of each detection depends on which frame a block last saw
     counts = grid.block_pixel_counts()
@@ -360,7 +309,7 @@ class PolicyAgent:
         camera_id: int,
         grid: BlockGrid,
         cfg: PolicyConfig,
-        rng: np.random.Generator,
+        rng: Stream,
     ):
         self.camera_id = camera_id
         self.grid = grid

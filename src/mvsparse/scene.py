@@ -14,12 +14,15 @@ import numpy as np
 
 from .geometry import (
     BBox,
+    BlockGrid,
     CameraModel,
     GeometryError,
     GroundPoint,
+    SpanCells,
     project_camera_point,
     project_world_point,
 )
+from .rng import Stream
 
 DEFAULT_PED_HEIGHT = 1.8
 DEFAULT_PED_RADIUS = 0.3
@@ -52,7 +55,7 @@ class Arena:
             min(max(y, self.y_min), self.y_max),
         )
 
-    def sample(self, rng: np.random.Generator) -> GroundPoint:
+    def sample(self, rng: Stream) -> GroundPoint:
         return GroundPoint(
             rng.uniform(self.x_min, self.x_max), rng.uniform(self.y_min, self.y_max)
         )
@@ -101,7 +104,7 @@ class SceneFrame:
 GtView = tuple[tuple[int, BBox, float], ...]
 
 
-def init_scene(cfg: SceneConfig, rng: np.random.Generator) -> SceneFrame:
+def init_scene(cfg: SceneConfig, rng: Stream) -> SceneFrame:
     peds = []
     for pid in range(cfg.n_pedestrians):
         pos = cfg.arena.sample(rng)
@@ -122,7 +125,7 @@ def _velocity_toward(pos: GroundPoint, wp: GroundPoint, speed: float) -> tuple[f
 
 
 def step_scene(
-    scene: SceneFrame, dt: float, rng: np.random.Generator, cfg: SceneConfig
+    scene: SceneFrame, dt: float, rng: Stream, cfg: SceneConfig
 ) -> SceneFrame:
     """Advance every walker by one step of the random-waypoint model.
 
@@ -193,34 +196,38 @@ def _project_all(scene: SceneFrame, cam: CameraModel) -> list[tuple[int, BBox, f
 def ground_truth_view(scene: SceneFrame, cam: CameraModel) -> GtView:
     """Render ground-truth boxes with occlusion-aware visibility.
 
-    Visibility is the fraction of a walker's box not covered by boxes of
-    walkers strictly closer to the camera (rasterized at pixel resolution).
+    Visibility is the fraction of a walker's pixel span not covered by the
+    spans of walkers strictly closer to the camera, counted exactly on the
+    cells the spans cut (``SpanCells``); no raster is drawn.
     """
     projected = _project_all(scene, cam)
     if not projected:
         return ()
 
-    canvas = np.zeros((cam.height, cam.width), dtype=bool)
-    visibility: dict[int, float] = {}
-    by_depth = sorted(projected, key=lambda e: e[2])
+    spans = [box.pixel_bounds(cam.width, cam.height) for _, box, _ in projected]
+    # the whole image as one block, so only the spans cut it
+    whole = BlockGrid.for_image(cam.width, cam.height, max(cam.width, cam.height))
+    cells = SpanCells(whole, spans)
+    occluded = np.zeros_like(cells.area)  # area of the cells covered so far, 0 elsewhere
+    visibility = [0.0] * len(projected)
+    by_depth = sorted(range(len(projected)), key=lambda k: projected[k][2])
     i = 0
     while i < len(by_depth):
         # walkers at identical depth do not occlude each other
         j = i
-        while j < len(by_depth) and by_depth[j][2] <= by_depth[i][2] + 1e-12:
+        while j < len(by_depth) and projected[by_depth[j]][2] <= projected[by_depth[i]][2] + 1e-12:
             j += 1
-        group = by_depth[i:j]
-        for pid, box, _ in group:
-            x0, y0, x1, y1 = box.pixel_bounds(cam.width, cam.height)
-            region = canvas[y0:y1, x0:x1]
-            covered = float(region.mean()) if region.size else 1.0
-            visibility[pid] = 1.0 - covered
-        for pid, box, _ in group:
-            x0, y0, x1, y1 = box.pixel_bounds(cam.width, cam.height)
-            canvas[y0:y1, x0:x1] = True
+        group = [(k, cells.index(spans[k])) for k in by_depth[i:j]]
+        for k, index in group:
+            x0, y0, x1, y1 = spans[k]
+            size = max(0, x1 - x0) * max(0, y1 - y0)
+            # an empty span counts as wholly covered
+            visibility[k] = 1.0 - int(occluded[index].sum()) / size if size else 0.0
+        for _, index in group:
+            occluded[index] = cells.area[index]
         i = j
 
-    return tuple((pid, box, visibility[pid]) for pid, box, _ in projected)
+    return tuple((pid, box, vis) for (pid, box, _), vis in zip(projected, visibility))
 
 
 BACKGROUND = 24

@@ -13,13 +13,13 @@ from mvsparse.geometry import (
     GeometryError,
     GroundPoint,
     ImagePoint,
+    SpanCells,
     bbox_block_mask,
     block_range,
     camera_from_pose,
     image_to_ground,
     project_world_point,
 )
-from mvsparse.policy import _Cells
 
 # Scalar references the tests compare the program against; the program
 # itself works on cell ranges and stacked solves.
@@ -292,7 +292,7 @@ def test_bbox_block_mask_marks_the_blocks_the_policy_counts_box_pixels_in(grid, 
     # the example's pixel span reaches column 128, one pixel into block 1
     boxes = [BBox(*b) for b in boxes]
     spans = [box.pixel_bounds(*grid.image_size) for box in boxes]
-    cells = _Cells(grid, spans)
+    cells = SpanCells(grid, spans)
     covered = cells.block_counts(cells.covered(spans)) > 0
     assert np.array_equal(bbox_block_mask(grid, boxes) != 0, covered)
 

@@ -1,6 +1,7 @@
 """No module in src/, tests/ or perfbench/ imports a name it never uses, no
 function, class or method of the package is left for the tests alone, and
-the program runs without scipy, which only the tests use as a reference.
+the program runs without scipy and without ``numpy.random``, which only the
+tests use as references.
 
 Package ``__init__.py`` files are skipped by the import check: their imports
 are the public re-exports. A name counts as used when it appears as a name
@@ -10,6 +11,7 @@ included.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,7 +130,7 @@ def test_every_package_name_is_used_by_the_program():
 
 
 def test_the_program_never_imports_scipy():
-    # a fresh interpreter: this test process has scipy loaded already
+    # a fresh interpreter: this test process has scipy and numpy.random loaded already
     code = (
         "import sys\n"
         "import mvsparse, mvsparse.runtime.cli, mvsparse.runtime.distributed\n"
@@ -137,6 +139,7 @@ def test_the_program_never_imports_scipy():
         "for mode in MODES:\n"
         "    run_sim(RunConfig(mode=mode, frames=12, seed=11))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -147,4 +150,16 @@ def test_the_program_never_imports_scipy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_the_source_never_names_numpy_random():
+    # grep -rn "np.random\|numpy.random" src/ (a dot matches any character)
+    pattern = re.compile(r"np.random|numpy.random")
+    hits = [
+        f"{p.relative_to(ROOT)}:{n}: {line.strip()}"
+        for p in sorted(ROOT.glob("src/**/*.py"))
+        for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert hits == []

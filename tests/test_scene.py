@@ -1,7 +1,15 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mvsparse.geometry import GroundPoint, camera_from_pose
+from mvsparse import rng as rngmod
+from mvsparse import scene as scene_mod
+from mvsparse.geometry import BBox, GroundPoint, camera_from_pose
+from mvsparse.runtime.config import default_cameras
 from mvsparse.scene import (
     Arena,
     BACKGROUND,
@@ -134,6 +142,132 @@ class TestGroundTruthView:
     def test_duplicate_person_ids_rejected(self):
         with pytest.raises(ValueError):
             SceneFrame(0, (make_ped(0, 1, 1, 2, 2), make_ped(0, 3, 3, 4, 4)))
+
+
+def reference_ground_truth_view(scene, cam):
+    """``ground_truth_view`` on a raster, as the program counted occlusion
+    before span cells: paint each depth group's pixel spans onto a
+    camera-sized boolean canvas in turn, and read a walker's covered
+    fraction as the mean of its span's region before its own group is
+    painted (an empty region counts as covered)."""
+    projected = scene_mod._project_all(scene, cam)
+    if not projected:
+        return ()
+    canvas = np.zeros((cam.height, cam.width), dtype=bool)
+    visibility = {}
+    by_depth = sorted(projected, key=lambda e: e[2])
+    i = 0
+    while i < len(by_depth):
+        j = i
+        while j < len(by_depth) and by_depth[j][2] <= by_depth[i][2] + 1e-12:
+            j += 1
+        group = by_depth[i:j]
+        for pid, box, _ in group:
+            x0, y0, x1, y1 = box.pixel_bounds(cam.width, cam.height)
+            region = canvas[y0:y1, x0:x1]
+            visibility[pid] = 1.0 - (float(region.mean()) if region.size else 1.0)
+        for pid, box, _ in group:
+            x0, y0, x1, y1 = box.pixel_bounds(cam.width, cam.height)
+            canvas[y0:y1, x0:x1] = True
+        i = j
+    return tuple((pid, box, visibility[pid]) for pid, box, _ in projected)
+
+
+def assert_views_equal(got, want):
+    assert got == want
+    assert all(type(vis) is float for _, _, vis in got)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_span_cell_occlusion_equals_the_canvas_on_a_crowd(seed):
+    cfg = SceneConfig(n_pedestrians=60)
+    rng = rngmod.substream(seed, rngmod.SCENE)
+    scene = init_scene(cfg, rng)
+    cams = default_cameras()
+    for _ in range(25):
+        for cam in cams:
+            want = reference_ground_truth_view(scene, cam)
+            assert_views_equal(ground_truth_view(scene, cam), want)
+        scene = step_scene(scene, 0.1, rng, cfg)
+
+
+# depths that tie within 1e-12, singly and in chains (a walker ties the
+# group's first member, not the one before it), and nearer or farther ones
+_depth = st.one_of(
+    st.builds(
+        float.__add__,
+        st.sampled_from([2.0, 3.0]),
+        st.sampled_from([0.0, 4e-13, 8e-13, 1e-12, 1.2e-12, 2e-12]),
+    ),
+    st.floats(0.5, 40.0),
+)
+
+
+@st.composite
+def _box_sets(draw):
+    """(image size, (person id, box, depth) entries). Boxes reach past the
+    image border, some have empty pixel spans, and shrunken copies of
+    nearer boxes make walkers that are wholly covered. No span ends left of
+    or above the image: the canvas's slice would wrap that negative end
+    around (``test_a_span_ending_left_of_the_image_is_empty``), and a
+    projected box always starts inside the image."""
+    w, h = draw(st.sampled_from([(1152, 640), (64, 48), (9, 7)]))
+    lattice = st.builds(
+        BBox,
+        st.integers(-2, w + 2).map(float),
+        st.integers(-2, h + 2).map(float),
+        st.integers(1, w).map(float),
+        st.integers(1, h).map(float),
+    )
+    free = st.builds(
+        BBox,
+        st.floats(-0.2 * w, 1.1 * w),
+        st.floats(-0.2 * h, 1.1 * h),
+        st.floats(0.01, 0.8 * w),
+        st.floats(0.01, 0.8 * h),
+    )
+    entries = draw(st.lists(st.tuples(st.one_of(lattice, free), _depth), max_size=12))
+    for i in draw(st.lists(st.integers(0, 11), max_size=3)) if entries else ():
+        box, depth = entries[i % len(entries)]
+        inner = BBox(box.x + 1.0, box.y + 1.0, max(0.5, box.w - 2.0), max(0.5, box.h - 2.0))
+        entries.append((inner, depth + 1.0))
+    entries = [
+        (b, d) for b, d in entries if math.ceil(b.x + b.w) >= 0 and math.ceil(b.y + b.h) >= 0
+    ]
+    return (w, h), [(pid, box, depth) for pid, (box, depth) in enumerate(entries)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_box_sets())
+@example(((1152, 640), []))
+@example(((64, 48), [(0, BBox(70.0, 3.0, 5.0, 5.0), 2.0), (1, BBox(-5.5, 3.0, 5.0, 5.0), 1.0)]))
+@example(
+    (
+        (64, 48),
+        [
+            (0, BBox(0.0, 0.0, 30.0, 30.0), 2.0),
+            (1, BBox(10.0, 10.0, 30.0, 30.0), 2.0 + 8e-13),
+            (2, BBox(20.0, 20.0, 30.0, 30.0), 2.0 + 1.6e-12),
+            (3, BBox(12.0, 12.0, 4.0, 4.0), 5.0),
+        ],
+    )
+)
+def test_span_cell_occlusion_equals_the_canvas(case):
+    (w, h), entries = case
+    cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (w, h))
+    empty = SceneFrame(0, ())
+    with mock.patch.object(scene_mod, "_project_all", return_value=entries):
+        assert_views_equal(ground_truth_view(empty, cam), reference_ground_truth_view(empty, cam))
+
+
+def test_a_span_ending_left_of_the_image_is_empty():
+    # its pixel span is (0, 3, -4, 8): it has no pixels and hides none,
+    # where the canvas would read and paint columns 0 to 59
+    cam = camera_from_pose(0, (0, 0, 5), 0.0, 30.0, 700.0, (64, 48))
+    left, behind = BBox(-9.0, 3.0, 5.0, 5.0), BBox(2.0, 2.0, 8.0, 8.0)
+    entries = [(0, left, 1.0), (1, behind, 2.0)]
+    with mock.patch.object(scene_mod, "_project_all", return_value=entries):
+        assert ground_truth_view(SceneFrame(0, ()), cam) == ((0, left, 0.0), (1, behind, 1.0))
 
 
 class TestRenderViewImage:
