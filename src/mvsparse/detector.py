@@ -38,7 +38,7 @@ class DetectorConfig:
     v_min: float = 0.25  # minimum ground-truth visibility to be detectable
     sigma_px: float = 2.0  # box edge perturbation std, pixels
     p_miss: float = 0.05  # per-object miss probability on fresh blocks
-    fp_rate: float = 0.1  # Poisson rate of false positives per view-frame
+    fp_rate: float = 0.1  # Poisson rate of false positives per view-frame, at most 708
     min_box_height_px: float = 36.0  # smaller projections are undetectable
 
     def __post_init__(self):
@@ -48,6 +48,8 @@ class DetectorConfig:
         for name in ("sigma_px", "fp_rate", "min_box_height_px"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.fp_rate > rngmod.POISSON_MAX:
+            raise ValueError(f"fp_rate must be at most {rngmod.POISSON_MAX}, got {self.fp_rate}")
 
 
 @dataclass(frozen=True)
@@ -146,18 +148,21 @@ def simulate_view_detections(
         if jittered is not None:
             noisy.append((i, jittered))
 
-    # false positives: boxes in random fresh blocks, in draw order
+    # false positives, keyed by (camera, frame): id 0 draws the count, and
+    # id k draws false positive k's fresh block and box
     false_boxes: list[BBox] = []
     if cfg.fp_rate > 0 and fresh.any():
-        frng = rngmod.substream(vs.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
-        fresh_blocks = np.argwhere(fresh)
-        for _ in range(frng.poisson(cfg.fp_rate)):
-            r, c = fresh_blocks[frng.integers(len(fresh_blocks))]
-            x0, y0, x1, y1 = grid.block_extent(int(r), int(c))
-            cx = frng.uniform(x0, x1)
-            cy = frng.uniform(y0, y1)
-            w = frng.uniform(16.0, 48.0)
-            h = frng.uniform(cfg.min_box_height_px, cfg.min_box_height_px + 70.0)
+        key = (rngmod.DETECT_FP, cam.camera_id, frame_id)
+        count = rngmod.poisson_quantile(rngmod.uniforms(vs.seed, key, [0], 1)[0, 0], cfg.fp_rate)
+        fresh_blocks = np.argwhere(fresh).tolist()
+        n = len(fresh_blocks)
+        rows = rngmod.uniforms(vs.seed, key, range(1, count + 1), 5).tolist() if count else []
+        for ub, ux, uy, uw, uh in rows:
+            x0, y0, x1, y1 = grid.block_extent(*fresh_blocks[min(int(ub * n), n - 1)])
+            cx = x0 + (x1 - x0) * ux
+            cy = y0 + (y1 - y0) * uy
+            w = 16.0 + 32.0 * uw
+            h = cfg.min_box_height_px + 70.0 * uh
             box = BBox(cx - w / 2.0, cy - h / 2.0, w, h).clamped(cam.width, cam.height)
             if box is not None:
                 false_boxes.append(box)

@@ -2,9 +2,11 @@
 
 The policy is a logistic-linear map over seven handcrafted per-block
 features with weights shared across blocks. Actions are independent
-Bernoulli draws per block; the reward combines a masked information-gain
-term with a view-level computation cost, and weights are updated online by
-plain score-function policy gradient every ``train_interval`` frames.
+Bernoulli draws per block, thresholding uniforms keyed by (run seed,
+camera, frame), so a frame's draw does not depend on the frames before it.
+The reward combines a masked information-gain term with a view-level
+computation cost, and weights are updated online by plain score-function
+policy gradient every ``train_interval`` frames.
 
 The camera's schematic frame is a list of painted pixel spans
 (``scene.ViewPaint``), and every box is an integer pixel span, so the
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .detector import Detection, DimensionMismatch
 from .geometry import BBox, BlockGrid, GroundPoint, SpanCells
-from .rng import Stream
 from .scene import BACKGROUND, ViewPaint
 
 logger = logging.getLogger(__name__)
@@ -176,13 +178,15 @@ def forward(params: PolicyParams, features: np.ndarray, p_floor: float = 1e-4) -
 
 
 def sample_actions(
-    probs: np.ndarray, rng: Stream, force_full: bool = False
+    probs: np.ndarray, seed: int, key: tuple[int, ...], force_full: bool = False
 ) -> np.ndarray:
-    """Independent Bernoulli draws; a forced frame processes every block and
-    consumes no randomness."""
+    """Independent Bernoulli draws: block i is processed when its uniform,
+    row i of ``rng.uniforms(seed, key, range(n_blocks), 1)``, falls below its
+    probability. A forced frame processes every block and draws nothing."""
     if force_full:
         return np.ones_like(probs, dtype=np.uint8)
-    return (rng.random(probs.shape) < probs).astype(np.uint8)
+    u = rng.uniforms(seed, key, range(probs.size), 1).reshape(probs.shape)
+    return (u < probs).astype(np.uint8)
 
 
 def information_gain(
@@ -309,12 +313,12 @@ class PolicyAgent:
         camera_id: int,
         grid: BlockGrid,
         cfg: PolicyConfig,
-        rng: Stream,
+        seed: int,
     ):
         self.camera_id = camera_id
         self.grid = grid
         self.cfg = cfg
-        self.rng = rng
+        self.seed = seed
         self.params = PolicyParams.initial()
         self.detection_history: dict[int, tuple[GroundPoint, ...]] = {}
         self.window: list[WindowSample] = []
@@ -339,7 +343,8 @@ class PolicyAgent:
         psi = forward(self.params, features, self.cfg.p_floor).reshape(self.grid.shape)
         interval = self.cfg.full_refresh_interval
         forced = frame_id == 0 or (interval > 0 and frame_id % interval == 0)
-        actions = sample_actions(psi, self.rng, force_full=forced)
+        key = (rng.POLICY, self.camera_id, frame_id)
+        actions = sample_actions(psi, self.seed, key, force_full=forced)
         self._pending = (state, features, actions, forced)
         return BlockActions(actions)
 

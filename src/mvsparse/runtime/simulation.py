@@ -10,7 +10,6 @@ import logging
 
 import numpy as np
 
-from .. import rng as rngmod
 from ..association import assign_cameras, cluster_detections
 from ..detector import Detection, ViewState, fuse_ground_plane, simulate_view_detections
 from ..geometry import CameraModel, GroundPoint, bbox_block_mask, left_sum
@@ -60,7 +59,6 @@ class SceneSource:
                 raise ConfigError(
                     f"trajectory file ends at frame {last}, run wants {cfg.frames} frames"
                 )
-        self._rng = rngmod.substream(cfg.seed, rngmod.SCENE)
         self._current: SceneFrame | None = None
 
     def frame(self, frame_id: int) -> SceneFrame:
@@ -71,11 +69,11 @@ class SceneSource:
             return self._replay.get(frame_id, SceneFrame(frame_id, ()))
         if frame_id == 0:
             if self._current is None:
-                self._current = init_scene(self._scene_cfg, self._rng)
+                self._current = init_scene(self._scene_cfg, self._cfg.seed)
             return self._current
         if self._current is None or self._current.frame_id != frame_id - 1:
             raise RuntimeError("scene frames must be consumed in order")
-        self._current = step_scene(self._current, self._cfg.dt, self._rng, self._scene_cfg)
+        self._current = step_scene(self._current, self._cfg.dt, self._cfg.seed, self._scene_cfg)
         return self._current
 
 
@@ -90,12 +88,7 @@ class CameraRuntime:
         self.view_state = ViewState.initial(camera, self.grid, cfg.seed)
         self.agent: PolicyAgent | None = None
         if cfg.mode in ("mvsparse", "blockcopy"):
-            self.agent = PolicyAgent(
-                camera.camera_id,
-                self.grid,
-                cfg.policy,
-                rngmod.substream(cfg.seed, rngmod.POLICY, camera.camera_id),
-            )
+            self.agent = PolicyAgent(camera.camera_id, self.grid, cfg.policy, cfg.seed)
         self._pending: tuple[Detection, ...] | None = None
 
     def candidate_detections(self, gt: GtView, frame_id: int) -> tuple[Detection, ...]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import rng
 from .geometry import (
     BBox,
     BlockGrid,
@@ -22,7 +23,6 @@ from .geometry import (
     project_camera_point,
     project_world_point,
 )
-from .rng import Stream
 
 DEFAULT_PED_HEIGHT = 1.8
 DEFAULT_PED_RADIUS = 0.3
@@ -55,9 +55,11 @@ class Arena:
             min(max(y, self.y_min), self.y_max),
         )
 
-    def sample(self, rng: Stream) -> GroundPoint:
+    def point(self, ux: float, uy: float) -> GroundPoint:
+        """The point at fractions (ux, uy) of the arena's extent."""
         return GroundPoint(
-            rng.uniform(self.x_min, self.x_max), rng.uniform(self.y_min, self.y_max)
+            self.x_min + (self.x_max - self.x_min) * ux,
+            self.y_min + (self.y_max - self.y_min) * uy,
         )
 
 
@@ -104,15 +106,19 @@ class SceneFrame:
 GtView = tuple[tuple[int, BBox, float], ...]
 
 
-def init_scene(cfg: SceneConfig, rng: Stream) -> SceneFrame:
+def _speed(cfg: SceneConfig, u: float) -> float:
+    return cfg.min_speed + (cfg.max_speed - cfg.min_speed) * u
+
+
+def init_scene(cfg: SceneConfig, seed: int) -> SceneFrame:
+    """Frame 0: walker ``pid``'s position, waypoint and speed are its row of
+    one ``rng.uniforms`` call keyed (SCENE, 0)."""
+    pids = range(cfg.n_pedestrians)
     peds = []
-    for pid in range(cfg.n_pedestrians):
-        pos = cfg.arena.sample(rng)
-        wp = cfg.arena.sample(rng)
-        speed = rng.uniform(cfg.min_speed, cfg.max_speed)
-        peds.append(
-            Pedestrian(pid, pos, _velocity_toward(pos, wp, speed), wp, cfg.ped_height, cfg.ped_radius)
-        )
+    for pid, (px, py, wx, wy, us) in zip(pids, rng.uniforms(seed, (rng.SCENE, 0), pids, 5).tolist()):
+        pos, wp = cfg.arena.point(px, py), cfg.arena.point(wx, wy)
+        velocity = _velocity_toward(pos, wp, _speed(cfg, us))
+        peds.append(Pedestrian(pid, pos, velocity, wp, cfg.ped_height, cfg.ped_radius))
     return SceneFrame(0, tuple(peds))
 
 
@@ -124,26 +130,31 @@ def _velocity_toward(pos: GroundPoint, wp: GroundPoint, speed: float) -> tuple[f
     return (speed * dx / dist, speed * dy / dist)
 
 
-def step_scene(
-    scene: SceneFrame, dt: float, rng: Stream, cfg: SceneConfig
-) -> SceneFrame:
+def step_scene(scene: SceneFrame, dt: float, seed: int, cfg: SceneConfig) -> SceneFrame:
     """Advance every walker by one step of the random-waypoint model.
 
     A walker within ``waypoint_tolerance`` of its waypoint draws a new one
-    (and a new leg speed) instead of moving this step.
+    (and a new leg speed) instead of moving this step: its row of one
+    ``rng.uniforms`` call keyed (SCENE, new frame id), made only when some
+    walker arrives. A walker redraws at most once a frame, so its path is a
+    function of (seed, its id) alone.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    frame_id = scene.frame_id + 1
+    dists = [p.position.distance_to(p.waypoint) for p in scene.pedestrians]
+    arrived = [p.person_id for p, d in zip(scene.pedestrians, dists) if d < cfg.waypoint_tolerance]
+    draws = {}
+    if arrived:
+        draws = dict(zip(arrived, rng.uniforms(seed, (rng.SCENE, frame_id), arrived, 3).tolist()))
     moved = []
-    for ped in scene.pedestrians:
+    for ped, dist in zip(scene.pedestrians, dists):
         pos, wp = ped.position, ped.waypoint
-        dist = pos.distance_to(wp)
         if dist < cfg.waypoint_tolerance:
-            new_wp = cfg.arena.sample(rng)
-            speed = rng.uniform(cfg.min_speed, cfg.max_speed)
-            moved.append(
-                replace(ped, waypoint=new_wp, velocity=_velocity_toward(pos, new_wp, speed))
-            )
+            wx, wy, us = draws[ped.person_id]
+            new_wp = cfg.arena.point(wx, wy)
+            velocity = _velocity_toward(pos, new_wp, _speed(cfg, us))
+            moved.append(replace(ped, waypoint=new_wp, velocity=velocity))
             continue
         speed = ped.speed
         step = min(speed * dt, dist)
@@ -151,7 +162,7 @@ def step_scene(
         ny = pos.y + (wp.y - pos.y) / dist * step
         nx, ny = cfg.arena.clamp(nx, ny)
         moved.append(replace(ped, position=GroundPoint(nx, ny)))
-    return SceneFrame(scene.frame_id + 1, tuple(moved))
+    return SceneFrame(frame_id, tuple(moved))
 
 
 def project_pedestrian_box(cam: CameraModel, ped: Pedestrian) -> tuple[BBox, float] | None:

@@ -305,14 +305,16 @@ def reference_simulate_view_detections(vs, actions, gt, frame_id, cfg):
     if cfg.fp_rate > 0:
         fresh_blocks = np.argwhere(fresh)
         if len(fresh_blocks):
-            frng = rngmod.substream(vs.seed, rngmod.DETECT_FP, cam.camera_id, frame_id)
-            for _ in range(frng.poisson(cfg.fp_rate)):
-                r, c = fresh_blocks[frng.integers(len(fresh_blocks))]
+            key = (rngmod.DETECT_FP, cam.camera_id, frame_id)
+            count = rngmod.poisson_quantile(reference_uniforms(vs.seed, key, 0, 1)[0], cfg.fp_rate)
+            for k in range(1, count + 1):
+                ub, ux, uy, uw, uh = reference_uniforms(vs.seed, key, k, 5)
+                r, c = fresh_blocks[min(int(ub * len(fresh_blocks)), len(fresh_blocks) - 1)]
                 x0, y0, x1, y1 = vs.grid.block_extent(int(r), int(c))
-                cx = frng.uniform(x0, x1)
-                cy = frng.uniform(y0, y1)
-                w = frng.uniform(16.0, 48.0)
-                h = frng.uniform(cfg.min_box_height_px, cfg.min_box_height_px + 70.0)
+                cx = x0 + (x1 - x0) * ux
+                cy = y0 + (y1 - y0) * uy
+                w = 16.0 + (48.0 - 16.0) * uw
+                h = cfg.min_box_height_px + 70.0 * uh
                 box = BBox(cx - w / 2.0, cy - h / 2.0, w, h).clamped(cam.width, cam.height)
                 if box is None:
                     continue

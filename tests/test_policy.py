@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from mvsparse import rng as rngmod
 from mvsparse.detector import Detection
 from mvsparse.geometry import BBox, BlockGrid, GroundPoint
 from mvsparse.policy import (
@@ -203,28 +204,33 @@ class TestSigmoid:
 
 
 class TestSampleActions:
+    KEY = (rngmod.POLICY, 0, 1)
+
     def test_near_one_probs_yield_all_ones(self):
-        rng = np.random.default_rng(0)
         psi = np.full((5, 9), 1.0 - 1e-4)
-        assert sample_actions(psi, rng).all()
+        assert sample_actions(psi, 0, self.KEY).all()
 
     def test_near_zero_probs_yield_all_zeros(self):
-        rng = np.random.default_rng(0)
         psi = np.full((5, 9), 1e-4)
-        assert not sample_actions(psi, rng).any()
+        assert not sample_actions(psi, 0, self.KEY).any()
 
     def test_half_probs_empirical_mean(self):
-        rng = np.random.default_rng(1)
         psi = np.full((100, 100), 0.5)
-        draws = sample_actions(psi, rng)
+        draws = sample_actions(psi, 1, self.KEY)
         assert abs(draws.mean() - 0.5) < 0.02
 
-    def test_forced_full_ignores_probs_and_rng(self):
-        rng = np.random.default_rng(2)
-        before = rng.bit_generator.state["state"]["state"]
-        actions = sample_actions(np.full((5, 9), 1e-4), rng, force_full=True)
+    def test_forced_full_ignores_probs_and_rng(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a forced frame drew uniforms")
+
+        monkeypatch.setattr(rngmod, "uniforms", no_draw)
+        actions = sample_actions(np.full((5, 9), 1e-4), 2, self.KEY, force_full=True)
         assert actions.all()
-        assert rng.bit_generator.state["state"]["state"] == before
+
+    def test_block_i_thresholds_row_i_of_the_keyed_uniforms(self):
+        psi = np.linspace(0.0, 1.0, 45).reshape(5, 9)
+        u = rngmod.uniforms(3, self.KEY, range(45), 1).reshape(5, 9)
+        assert np.array_equal(sample_actions(psi, 3, self.KEY), (u < psi).astype(np.uint8))
 
 
 class TestInformationGain:
@@ -426,7 +432,7 @@ class TestReinforceUpdate:
 
 class TestPolicyAgent:
     def test_staleness_comes_from_the_given_refresh_memory(self):
-        agent = PolicyAgent(0, GRID, CFG, np.random.default_rng(0))
+        agent = PolicyAgent(0, GRID, CFG, 0)
         last_refresh = np.random.default_rng(1).integers(-1, 50, size=GRID.shape)
         t = 50
         agent.act(ViewPaint(1152, 640, ()), t, last_refresh)
@@ -435,7 +441,7 @@ class TestPolicyAgent:
         assert np.array_equal(features[:, 5], expected.reshape(GRID.n_blocks))
 
     def test_previous_action_is_the_last_frames_refresh(self):
-        agent = PolicyAgent(0, GRID, CFG, np.random.default_rng(0))
+        agent = PolicyAgent(0, GRID, CFG, 0)
         last_refresh = np.full(GRID.shape, -1, dtype=np.int64)
         previous = np.zeros(GRID.shape, dtype=np.uint8)  # no block processed before frame 1
         for t in (1, 2, 3):
@@ -445,6 +451,29 @@ class TestPolicyAgent:
             agent.finish_frame(t, (), (), np.zeros(GRID.shape, dtype=np.uint8), 0.5)
             last_refresh = np.where(actions != 0, t, last_refresh)
             previous = actions
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 160), min_size=1, max_size=12, unique=True).map(sorted),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 3),
+    )
+    def test_a_frames_draw_is_the_keyed_call(self, frames, seed, camera_id):
+        # whatever frames the agent acted and learned on before, frame t's
+        # actions threshold the uniforms keyed (POLICY, camera, t); a forced
+        # frame processes every block
+        agent = PolicyAgent(camera_id, GRID, CFG, seed)
+        last_refresh = np.full(GRID.shape, -1, dtype=np.int64)
+        ones = np.ones(GRID.shape, dtype=np.uint8)
+        for t in frames:
+            actions = agent.act(ViewPaint(1152, 640, ()), t, last_refresh).actions
+            _, features, _, forced = agent._pending
+            psi = forward(agent.params, features, CFG.p_floor).reshape(GRID.shape)
+            u = rngmod.uniforms(seed, (rngmod.POLICY, camera_id, t), range(GRID.n_blocks), 1)
+            expected = ones if forced else (u.reshape(GRID.shape) < psi).astype(np.uint8)
+            assert np.array_equal(actions, expected)
+            agent.finish_frame(t, (), (), ones, 0.5)
+            last_refresh = np.where(actions != 0, t, last_refresh)
 
 
 # --- pixel reference ---------------------------------------------------------

@@ -1,18 +1,16 @@
-"""The program's random draws: ``rng.substream`` and the detector's
-counter-based ``rng.uniforms`` and ``rng.normals``.
-
-``substream`` is pinned to numpy, its reference: a ``Stream`` must equal
-``Generator(PCG64(SeedSequence(seed, spawn_key=key)))`` draw for draw, and
-raise where numpy raises.
+"""The program's random draws: the counter-based ``rng.uniforms``, the
+Box-Muller ``rng.normals`` and the Poisson inverse CDF
+``rng.poisson_quantile``.
 
 ``reference_uniforms`` is a scalar restatement of ``uniforms`` in Python
 ints; the properties pin the array code to it bit for bit, with seeds and
 key words of one and several 64-bit words and ids up to 2**64 - 1, and
 check that an id's row does not depend on the other ids of the call.
+``poisson_quantile`` is pinned to scipy's ``poisson.ppf``.
 """
 
 import math
-import re
+import signal
 
 import numpy as np
 import pytest
@@ -21,107 +19,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mvsparse import rng
-
-
-def numpy_stream(seed, key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-# 0, 1, the 32- and 64-bit boundaries, one-word values and values of more than 128 bits
-seed_word = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 5]),
-    st.integers(0, 2**32 - 1),
-    st.integers(2**128, 2**200),
-)
-# (method, arguments); uniform's are its low end and width
-call = st.one_of(
-    st.tuples(st.just("uniform"), st.floats(-1e6, 1e6), st.floats(0.0, 1e6)),
-    st.tuples(st.just("random"), st.tuples(st.integers(0, 5), st.integers(0, 9))),
-    st.tuples(
-        st.just("integers"),
-        st.one_of(st.sampled_from([1, 2, 255 * 255, 2**31 + 1, 2**32]), st.integers(1, 255 * 255)),
-    ),
-    st.tuples(
-        st.just("poisson"),
-        st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_max=True), st.floats(10.0, 5000.0)),
-    ),
-)
-
-
-def _draw(stream, name, args):
-    if name == "uniform":
-        low, width = args
-        return stream.uniform(low, low + width)
-    return np.asarray(getattr(stream, name)(*args)).tolist()
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed_word, st.lists(seed_word, max_size=3), st.lists(call, max_size=30))
-def test_stream_equals_numpy_draw_for_draw(seed, key, calls):
-    # integers takes 32-bit halves and keeps the other half across the
-    # 64-bit draws between its calls; the trailing calls check that state
-    got, ref = rng.substream(seed, *key), numpy_stream(seed, key)
-    for name, *args in [*calls, ("integers", 10), ("integers", 10), ("random", (3,))]:
-        assert _draw(got, name, args) == _draw(ref, name, args)
-
-
-@pytest.mark.parametrize("seed", [0, 12, 2**64 + 3])
-def test_poisson_from_ten_on_equals_numpy(seed):
-    lams = np.linspace(10.0, 5000.0, 4000).tolist() + [10.0, 11.5, 1e6, 1e12, 9e18]
-    got, ref = rng.substream(seed, rng.DETECT_FP), numpy_stream(seed, (rng.DETECT_FP,))
-    assert [got.poisson(lam) for lam in lams] == [ref.poisson(lam) for lam in lams]
-
-
-def test_integers_of_one_takes_no_draw():
-    stream, fresh = rng.substream(11, 4), rng.substream(11, 4)
-    assert [stream.integers(1) for _ in range(5)] == [0] * 5
-    assert stream.integers(7) == fresh.integers(7)
-    assert stream.random((4,)).tolist() == fresh.random((4,)).tolist()
-
-
-def test_integers_refuse_ranges_above_32_bits():
-    with pytest.raises(ValueError, match="at most 2"):
-        rng.substream(3).integers(2**32 + 1)
-
-
-def _raised(fn, *args):
-    try:
-        fn(*args)
-    except (ValueError, OverflowError) as exc:
-        return exc
-    pytest.fail(f"{fn} accepted {args}")
-
-
-@pytest.mark.parametrize(
-    "seed, key", [(-1, ()), (5, (-1,)), (5, (3, -(2**70))), (-(2**64), (1,))]
-)
-def test_negative_seed_words_raise_as_numpy_does(seed, key):
-    theirs = _raised(lambda: np.random.SeedSequence(seed, spawn_key=key))
-    with pytest.raises(type(theirs), match=re.escape(str(theirs))):
-        rng.substream(seed, *key)
-
-
-@pytest.mark.parametrize(
-    "name, args",
-    [
-        ("poisson", (-1.0,)),
-        ("poisson", (-1e-300,)),
-        ("poisson", (math.nan,)),
-        ("poisson", (math.inf,)),
-        ("poisson", (1e19,)),
-        ("integers", (0,)),
-        ("integers", (-3,)),
-        ("uniform", (1.0, 0.0)),
-        ("uniform", (0.0, -0.0)),
-        ("uniform", (0.0, math.nan)),
-        ("uniform", (-1e308, 1e308)),
-    ],
-)
-def test_invalid_arguments_raise_as_numpy_does(name, args):
-    theirs = _raised(getattr(numpy_stream(3, ()), name), *args)
-    with pytest.raises(type(theirs), match=re.escape(str(theirs))):
-        getattr(rng.substream(3), name)(*args)
-
 
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -204,3 +101,59 @@ def test_rejects_negative_key_words():
         rng.uniforms(11, (rng.DETECT,), [-1], 5)
     with pytest.raises(ValueError):
         rng.uniforms(11, (rng.DETECT,), [2**64], 5)
+
+
+def _near_a_step(u, lam, k, want):
+    """u lies within 1e-12 of the Poisson CDF at some count from
+    min(k, want) - 1 to max(k, want), -1 (CDF 0) included."""
+    counts = np.arange(min(k, want) - 1, max(k, want) + 1)
+    return bool(np.min(np.abs(stats.poisson.cdf(counts, lam) - u)) < 1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5, 1 - 2**-53])),
+    st.one_of(st.floats(0.0, rng.POISSON_MAX), st.sampled_from([0.0, 0.1, 3.0, rng.POISSON_MAX])),
+)
+def test_poisson_quantile_equals_scipy(u, lam):
+    k = rng.poisson_quantile(u, lam)
+    want = int(stats.poisson.ppf(u, lam))
+    assert k == want or _near_a_step(u, lam, k, want)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 0.1, 0.246, 3.0, 10.0, 50.0, rng.POISSON_MAX])
+def test_poisson_quantile_ends_below_one(lam):
+    # the rounded CDF of rate 0.1 stops short of 1 - 2**-53; the walk must
+    # still end, at a count in the far tail
+    u = 1 - 2**-53
+
+    def timeout(signum, frame):
+        raise AssertionError(f"the walk at rate {lam} did not end within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        k = rng.poisson_quantile(u, lam)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    want = int(stats.poisson.ppf(u, lam))
+    assert k == want or _near_a_step(u, lam, k, want)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-300, math.nan, math.inf, rng.POISSON_MAX + 1e-9, 1e6])
+def test_poisson_quantile_rejects_means_out_of_range(lam):
+    with pytest.raises(ValueError):
+        rng.poisson_quantile(0.5, lam)
+
+
+@pytest.mark.parametrize("lam", [0.1, 3.0])
+def test_poisson_count_statistics(lam):
+    # the detector's false-positive count: column 0 of 200,000 ids of one
+    # key, as test_draw_statistics draws the uniforms
+    u = rng.uniforms(11, (rng.DETECT_FP, 0, 0), list(range(200_000)), 1)[:, 0].tolist()
+    k = np.array([rng.poisson_quantile(x, lam) for x in u])
+    # the mean and variance of 200,000 draws have standard errors of
+    # sqrt(lam / n) and about sqrt(2 lam**2 / n + lam / n)
+    assert abs(k.mean() - lam) < 5 * math.sqrt(lam / len(k))
+    assert abs(k.var() - lam) < 5 * math.sqrt((2 * lam**2 + lam) / len(k))

@@ -186,6 +186,8 @@ class TestConfig:
             {"detector": {"v_min": -0.1}},
             {"detector": {"sigma_px": -1.0}},
             {"detector": {"fp_rate": -1}},
+            {"detector": {"fp_rate": 708.5}},
+            {"detector": {"fp_rate": float("inf")}},
             {"detector": {"min_box_height_px": -1.0}},
             {"tracker": {"measurement_noise": -1}},
             {"tracker": {"process_noise": -1.0}},
@@ -230,6 +232,8 @@ class TestConfig:
             "v-min-negative",
             "sigma-px-negative",
             "fp-rate-negative",
+            "fp-rate-past-708",
+            "fp-rate-inf",
             "min-box-height-negative",
             "measurement-noise-negative",
             "process-noise-negative",
@@ -243,6 +247,9 @@ class TestConfig:
     def test_malformed_documents_are_config_errors(self, doc):
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+    def test_fp_rate_bound_is_inclusive(self):
+        assert config_from_dict({"detector": {"fp_rate": 708}}).detector.fp_rate == 708
 
     def test_default_config_digest_is_pinned(self):
         # every report carries this digest; a schema refactor must not move it
@@ -299,11 +306,11 @@ class TestRunSimDeterminism:
     # speedup must leave these unchanged; a change that is meant to move
     # the scores re-pins them and says why.
     PINNED_DIGESTS = {
-        "full": "ab3781a29ce7327d22b4445772180261d3b3cdeb827c991691c9d2f4c7d39544",
-        "mvsparse": "645bb0618d3a7f4ae72540db3f8362d46ddfb59af84292b95e311ceb425d66d8",
-        "blockcopy": "cc2c1e22dddd1cfa3fffff643444b2d3fc4390bdbbd87a0fad49a46629801500",
-        "static_mask": "29bc8ce6d54d296e3df6fee67a3125f9460190abea541b643c11f5c61e81bc63",
-        "oracle": "47604b03689086336c59354c07a009ac1c39802c02ff7bfb819fc0b7fbb87109",
+        "full": "a0033d3ed2404f7aba75ca8f5bb1113a9f4fdb5f5731f8b5504f4d79b855cfa5",
+        "mvsparse": "d22ac6384b40cdcb2a10dbb703e49467db756dd473fb81cd687dfd3a21bdfe88",
+        "blockcopy": "3a936bf8cadf48bef501fbddd9c6e21b8df7959dc3fe82afacadcc29c452fd57",
+        "static_mask": "59e05531046a0bd9208c9d0d0fb72c582f7cbe1ddbedcf7aab905915b8acc32e",
+        "oracle": "c858eb56fd620d00e9c536f0cc00069f3ffab9a18c38b28aec249c74fe9288c0",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))

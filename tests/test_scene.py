@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvsparse import rng as rngmod
 from mvsparse import scene as scene_mod
 from mvsparse.geometry import BBox, GroundPoint, camera_from_pose
 from mvsparse.runtime.config import default_cameras
@@ -43,21 +42,21 @@ class TestStepScene:
     def test_linear_motion(self):
         cfg = SceneConfig()
         scene = SceneFrame(0, (make_ped(0, 0, 0, 10, 0, speed=1.0),))
-        nxt = step_scene(scene, 0.5, np.random.default_rng(0), cfg)
+        nxt = step_scene(scene, 0.5, 0, cfg)
         assert nxt.pedestrians[0].position == GroundPoint(0.5, 0.0)
         assert nxt.frame_id == 1
 
     def test_arrival_resamples_waypoint_without_moving(self):
         cfg = SceneConfig()
         scene = SceneFrame(0, (make_ped(0, 3.0, 3.0, 3.0, 3.05),))
-        nxt = step_scene(scene, 0.5, np.random.default_rng(1), cfg)
+        nxt = step_scene(scene, 0.5, 1, cfg)
         ped = nxt.pedestrians[0]
         assert ped.position == GroundPoint(3.0, 3.0)
         assert ped.waypoint != GroundPoint(3.0, 3.05)
         assert arena_contains(cfg.arena, ped.waypoint)
 
     def test_empty_scene(self):
-        nxt = step_scene(SceneFrame(4, ()), 0.5, np.random.default_rng(2), SceneConfig())
+        nxt = step_scene(SceneFrame(4, ()), 0.5, 2, SceneConfig())
         assert nxt.frame_id == 5
         assert nxt.pedestrians == ()
 
@@ -65,11 +64,10 @@ class TestStepScene:
         cfg = SceneConfig(n_pedestrians=8)
 
         def run():
-            rng = np.random.default_rng(42)
-            scene = init_scene(cfg, rng)
+            scene = init_scene(cfg, 42)
             out = []
             for _ in range(50):
-                scene = step_scene(scene, 1 / 30, rng, cfg)
+                scene = step_scene(scene, 1 / 30, 42, cfg)
                 out.append([(p.position.x, p.position.y) for p in scene.pedestrians])
             return out
 
@@ -77,18 +75,31 @@ class TestStepScene:
 
     def test_continuity_bound(self):
         cfg = SceneConfig(n_pedestrians=12)
-        rng = np.random.default_rng(5)
-        scene = init_scene(cfg, rng)
+        scene = init_scene(cfg, 5)
         dt = 1 / 30
         for _ in range(200):
-            nxt = step_scene(scene, dt, rng, cfg)
+            nxt = step_scene(scene, dt, 5, cfg)
             for a, b in zip(scene.pedestrians, nxt.pedestrians):
                 assert a.position.distance_to(b.position) <= cfg.max_speed * dt + 1e-9
             scene = nxt
 
+    def test_a_walkers_path_does_not_depend_on_the_other_walkers(self):
+        # walkers 0-6 of a 7-walker and a 20-walker scene, bit for bit,
+        # through waypoint redraws of both the shared and the extra walkers
+        small_cfg, large_cfg = SceneConfig(n_pedestrians=7), SceneConfig(n_pedestrians=20)
+        small, large = init_scene(small_cfg, 11), init_scene(large_cfg, 11)
+        redraws = 0
+        for _ in range(300):
+            assert large.pedestrians[:7] == small.pedestrians
+            nxt = step_scene(small, 1 / 30, 11, small_cfg)
+            redraws += sum(a.waypoint != b.waypoint for a, b in zip(small.pedestrians, nxt.pedestrians))
+            small, large = nxt, step_scene(large, 1 / 30, 11, large_cfg)
+        assert large.pedestrians[:7] == small.pedestrians
+        assert redraws > 0
+
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step_scene(SceneFrame(0, ()), 0.0, np.random.default_rng(0), SceneConfig())
+            step_scene(SceneFrame(0, ()), 0.0, 0, SceneConfig())
 
 
 class TestGroundTruthView:
@@ -129,9 +140,8 @@ class TestGroundTruthView:
 
     def test_foot_point_consistent_with_ground_position(self):
         cam = camera_from_pose(0, (-4, -4, 9), 45.0, 30.0, 750.0, (1152, 640))
-        rng = np.random.default_rng(7)
         cfg = SceneConfig(n_pedestrians=15)
-        scene = init_scene(cfg, rng)
+        scene = init_scene(cfg, 7)
         view = ground_truth_view(scene, cam)
         pos = {p.person_id: p.position for p in scene.pedestrians}
         assert view
@@ -181,14 +191,13 @@ def assert_views_equal(got, want):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_span_cell_occlusion_equals_the_canvas_on_a_crowd(seed):
     cfg = SceneConfig(n_pedestrians=60)
-    rng = rngmod.substream(seed, rngmod.SCENE)
-    scene = init_scene(cfg, rng)
+    scene = init_scene(cfg, seed)
     cams = default_cameras()
     for _ in range(25):
         for cam in cams:
             want = reference_ground_truth_view(scene, cam)
             assert_views_equal(ground_truth_view(scene, cam), want)
-        scene = step_scene(scene, 0.1, rng, cfg)
+        scene = step_scene(scene, 0.1, seed, cfg)
 
 
 # depths that tie within 1e-12, singly and in chains (a walker ties the
