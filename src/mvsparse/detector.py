@@ -2,9 +2,9 @@
 
 Blocks refreshed this frame produce current (noisy) detections; blocks left
 unrefreshed replay the detection captured when they were last processed,
-which is how feature duplication shows up at the detection level. Each
-ViewState is owned by exactly one camera loop; fusion runs on the server
-after all views arrive.
+which is how feature duplication shows up at the detection level. The
+server runs the detector on each view's received block bitmap and owns
+every view's ViewState; fusion runs after all views arrive.
 """
 
 from __future__ import annotations

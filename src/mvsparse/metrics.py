@@ -134,7 +134,7 @@ class MetricAccumulator:
 
 def oracle_select(
     gt_points: list[GroundPoint],
-    view_detections: dict[int, list[Detection]],
+    view_detections: dict[int, tuple[Detection, ...]],
     k: int,
     grid: BlockGrid,
     match_radius: float = DEFAULT_MATCH_RADIUS,
@@ -144,6 +144,10 @@ def oracle_select(
     Each view's detections are bipartite-matched to the true positions;
     for every target the K views with the closest matched detection keep
     it, and a view's mask is the union of the blocks of its kept boxes.
+    It ranks views by distance to the truth, where ``assign_cameras`` ranks
+    them by box area, because it may read the truth: the closest views give
+    the best-scoring fused points, bounding what the server, which has only
+    the detections and takes box area as its proxy, can reach.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -303,9 +303,9 @@ class PolicyAgent:
     """Owns one camera's policy, its detection history and its training window.
 
     Call ``act`` at the start of a frame with the frame each block was last
-    processed (the detector's ``ViewState.last_refresh``, read and never
-    written), feed the detector with the returned actions, then call
-    ``finish_frame`` once the server feedback for the frame is available.
+    processed (read, never written, and kept until ``finish_frame``), send
+    the returned actions to the detector, then call ``finish_frame`` once
+    the server feedback for the frame is available.
     """
 
     def __init__(

@@ -1,10 +1,11 @@
 """Distributed execution: camera nodes and server exchanging protocol frames
 over TCP.
 
-The server collects all cameras' updates for a frame (frame barrier,
-processed in camera_id order), runs the per-frame engine and sends each
-camera its feedback: the target tau and its assigned boxes. Camera nodes own
-their policy agent and detector state, derive the block mask of their
+The server collects all cameras' block bitmaps for a frame (frame barrier,
+processed in camera_id order), runs the detector on them and the rest of
+the per-frame engine, and sends each camera its feedback: the target tau
+and the view's detections, flagged where assigned to it. Camera nodes own
+their policy agent and refresh memory, derive the block mask of their
 assigned boxes and learn locally. A run ends with the last frame's feedback.
 Both sides rebuild the scene deterministically from the config, so no
 ground truth crosses the wire, and with a fixed seed a distributed run
@@ -118,7 +119,7 @@ def run_server(cfg: RunConfig, port: int | None = None, ready=None) -> dict:
                         f"update from camera {msg.camera_id} on block grid {msg.actions.shape}"
                     )
                 updates[cam_id] = msg
-            feedbacks = engine.process(t, updates, scene.ground_points())
+            feedbacks = engine.process(t, updates, scene)
             for cam_id in cfg.camera_ids:
                 send_message(conns[cam_id], feedbacks[cam_id])
         return engine.report()

@@ -6,13 +6,14 @@ floats are little-endian; block bitmaps are row-major with little-endian
 bit order inside each byte. Messages are immutable after construction and
 safe to hand across threads.
 
-Wire version 5 has three message types: a camera's ``Hello`` (its camera
-id and the SHA-256 of its run config), its ``BlockUpdate`` per frame (block
-bitmap and detection records: box, ground point, stale flag) and the
-server's ``ServerFeedback`` per frame (target tau and the assigned boxes,
-from which the camera derives their block mask). A run ends with the last
-frame's feedback; there is no end-of-sequence message. A NaN or infinite
-float on the wire does not decode.
+Wire version 6 has three message types: a camera's ``Hello`` (its camera
+id and the SHA-256 of its run config), its ``BlockUpdate`` per frame (the
+block bitmap alone) and the server's ``ServerFeedback`` per frame (target
+tau and the detections the server's detector made in the camera's view,
+each record a box, its ground point and a flag byte: stale in bit 0,
+assigned to the view in bit 1). A run ends with the last frame's feedback;
+there is no end-of-sequence message. A NaN or infinite float on the wire
+does not decode.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..detector import Detection
 from ..geometry import BBox, GroundPoint
 
 MAGIC = b"MVSP"
-VERSION = 5
+VERSION = 6
 
 TYPE_HELLO = 1
 TYPE_BLOCK_UPDATE = 2
@@ -35,10 +36,10 @@ TYPE_SERVER_FEEDBACK = 3
 
 _HEADER = struct.Struct("<4sBBI")
 _HELLO = struct.Struct("<H32s")  # camera id, SHA-256 of the run config
-_UPDATE_HEAD = struct.Struct("<IHBBH")  # frame, camera, rows, cols, detections
-_FEEDBACK_HEAD = struct.Struct("<IHdH")  # frame, camera, tau, boxes
-_DET = struct.Struct("<6dB")  # bbox x,y,w,h + ground x,y + stale flag
-_BOX = struct.Struct("<4d")
+_UPDATE_HEAD = struct.Struct("<IHBB")  # frame, camera, rows, cols
+_FEEDBACK_HEAD = struct.Struct("<IHdH")  # frame, camera, tau, detections
+_DET = struct.Struct("<6dB")  # bbox x,y,w,h + ground x,y + flags
+_STALE, _ASSIGNED = 1, 2  # flag bits
 
 
 class ProtocolError(Exception):
@@ -85,16 +86,15 @@ class Hello:
 
 @dataclass(frozen=True, eq=False)
 class BlockUpdate:
-    """Camera -> server, one per frame: actions plus the view's detections.
+    """Camera -> server, one per frame: the blocks the camera processed.
 
-    The simulated pipeline transmits detection records; the per-fresh-block
-    pixel payload is modeled analytically by ``account_traffic``.
+    The per-fresh-block pixel payload is modeled analytically by
+    ``account_traffic``.
     """
 
     frame_id: int
     camera_id: int
     actions: np.ndarray  # (rows, cols) in {0, 1}
-    detections: tuple[Detection, ...]
 
     @property
     def payload_blocks(self) -> int:
@@ -107,20 +107,25 @@ class BlockUpdate:
             and self.frame_id == other.frame_id
             and self.camera_id == other.camera_id
             and np.array_equal(self.actions, other.actions)
-            and self.detections == other.detections
         )
 
 
 @dataclass(frozen=True)
 class ServerFeedback:
     """Server -> camera, one per frame: the view's processing target and the
-    top-K boxes assigned to it. The camera derives the boxes' block mask on
-    its own grid."""
+    detections made in the view, in detector order, each flagged whether it
+    is among the top-K assigned to the view. The camera derives the
+    assigned boxes' block mask on its own grid."""
 
     frame_id: int
     camera_id: int
     tau: float
-    topk_boxes: tuple[BBox, ...]
+    detections: tuple[Detection, ...]
+    assigned: tuple[bool, ...]  # one flag per detection
+
+    @property
+    def assigned_boxes(self) -> tuple[BBox, ...]:
+        return tuple(d.bbox for d, a in zip(self.detections, self.assigned, strict=True) if a)
 
 
 Message = Hello | BlockUpdate | ServerFeedback
@@ -145,23 +150,16 @@ _MAX_BITMAP = _bitmap_nbytes(MAX_GRID_SIDE, MAX_GRID_SIDE)
 # Largest payload of each message type.
 MAX_PAYLOAD = {
     TYPE_HELLO: _HELLO.size,
-    TYPE_BLOCK_UPDATE: _UPDATE_HEAD.size + _MAX_BITMAP + _MAX_COUNT * _DET.size,
-    TYPE_SERVER_FEEDBACK: _FEEDBACK_HEAD.size + _MAX_COUNT * _BOX.size,
+    TYPE_BLOCK_UPDATE: _UPDATE_HEAD.size + _MAX_BITMAP,
+    TYPE_SERVER_FEEDBACK: _FEEDBACK_HEAD.size + _MAX_COUNT * _DET.size,
 }
 
 
-def _encode_detections(dets: tuple[Detection, ...]) -> bytes:
+def _encode_detections(dets: tuple[Detection, ...], assigned: tuple[bool, ...]) -> bytes:
     out = bytearray()
-    for d in dets:
-        out += _DET.pack(
-            d.bbox.x,
-            d.bbox.y,
-            d.bbox.w,
-            d.bbox.h,
-            d.ground.x,
-            d.ground.y,
-            1 if d.stale else 0,
-        )
+    for d, a in zip(dets, assigned, strict=True):
+        flags = (_STALE if d.stale else 0) | (_ASSIGNED if a else 0)
+        out += _DET.pack(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.ground.x, d.ground.y, flags)
     return bytes(out)
 
 
@@ -172,19 +170,20 @@ def _check_finite(what: str, *values: float) -> None:
 
 def _decode_detections(
     data: bytes, off: int, count: int, camera_id: int
-) -> tuple[Detection, ...]:
-    dets = []
+) -> tuple[tuple[Detection, ...], tuple[bool, ...]]:
+    dets, assigned = [], []
     for i in range(count):
-        x, y, w, h, gx, gy, stale = _DET.unpack_from(data, off + i * _DET.size)
-        if stale > 1:
-            raise MalformedPayload(f"detection {i}: stale flag {stale}")
+        x, y, w, h, gx, gy, flags = _DET.unpack_from(data, off + i * _DET.size)
+        if flags > _STALE | _ASSIGNED:
+            raise MalformedPayload(f"detection {i}: flag byte {flags}")
         _check_finite(f"detection {i}", x, y, w, h, gx, gy)
         try:
             box = BBox(x, y, w, h)
         except ValueError as exc:
             raise MalformedPayload(f"detection {i}: {exc}") from exc
-        dets.append(Detection(camera_id, box, GroundPoint(gx, gy), bool(stale)))
-    return tuple(dets)
+        dets.append(Detection(camera_id, box, GroundPoint(gx, gy), bool(flags & _STALE)))
+        assigned.append(bool(flags & _ASSIGNED))
+    return tuple(dets), tuple(assigned)
 
 
 def encode_message(msg: Message) -> bytes:
@@ -193,64 +192,49 @@ def encode_message(msg: Message) -> bytes:
         mtype = TYPE_HELLO
     elif isinstance(msg, BlockUpdate):
         rows, cols = msg.actions.shape
-        payload = _UPDATE_HEAD.pack(msg.frame_id, msg.camera_id, rows, cols, len(msg.detections))
+        payload = _UPDATE_HEAD.pack(msg.frame_id, msg.camera_id, rows, cols)
         payload += _pack_bitmap(msg.actions)
-        payload += _encode_detections(msg.detections)
         mtype = TYPE_BLOCK_UPDATE
     elif isinstance(msg, ServerFeedback):
-        payload = _FEEDBACK_HEAD.pack(msg.frame_id, msg.camera_id, msg.tau, len(msg.topk_boxes))
-        for b in msg.topk_boxes:
-            payload += _BOX.pack(b.x, b.y, b.w, b.h)
+        payload = _FEEDBACK_HEAD.pack(msg.frame_id, msg.camera_id, msg.tau, len(msg.detections))
+        payload += _encode_detections(msg.detections, msg.assigned)
         mtype = TYPE_SERVER_FEEDBACK
     else:
         raise TypeError(f"not a protocol message: {type(msg)!r}")
     return _HEADER.pack(MAGIC, VERSION, mtype, len(payload)) + payload
 
 
-def _check_records(payload: bytes, off: int, count: int, record_size: int) -> None:
-    """The payload must hold exactly ``count`` records of ``record_size``
-    bytes from ``off`` on, and end at the last of them."""
-    end = off + count * record_size
-    if len(payload) < end:
-        raise TruncatedFrame("records shorter than their counts")
-    if len(payload) > end:
-        raise MalformedPayload(f"{len(payload) - end} bytes after the last record")
-
-
 def _decode_block_update(payload: bytes) -> BlockUpdate:
-    """A fixed head, then the block bitmap of the grid the head declares,
-    then the detection records. Only the canonical encoding decodes: the
-    bitmap's padding bits must be zero and the payload must end at the last
-    record."""
-    frame_id, camera_id, rows, cols, n_dets = _UPDATE_HEAD.unpack_from(payload)
+    """A fixed head, then the block bitmap of the grid the head declares.
+    Only the canonical encoding decodes: the bitmap's padding bits must be
+    zero and the payload must end with the bitmap."""
+    frame_id, camera_id, rows, cols = _UPDATE_HEAD.unpack_from(payload)
     if rows == 0 or cols == 0:
         raise MalformedPayload("empty block grid")
     off = _UPDATE_HEAD.size + _bitmap_nbytes(rows, cols)
     if len(payload) < off:
         raise TruncatedFrame("bitmap truncated")
+    if len(payload) > off:
+        raise MalformedPayload(f"{len(payload) - off} bytes after the bitmap")
     bitmap = np.frombuffer(payload, np.uint8, off - _UPDATE_HEAD.size, _UPDATE_HEAD.size)
     bits = np.unpackbits(bitmap, bitorder="little")
     if bits[rows * cols :].any():
         raise MalformedPayload("nonzero bitmap padding bits")
-    _check_records(payload, off, n_dets, _DET.size)
-    dets = _decode_detections(payload, off, n_dets, camera_id)
-    return BlockUpdate(frame_id, camera_id, bits[: rows * cols].reshape(rows, cols), dets)
+    return BlockUpdate(frame_id, camera_id, bits[: rows * cols].reshape(rows, cols))
 
 
 def _decode_server_feedback(payload: bytes) -> ServerFeedback:
-    frame_id, camera_id, tau, n_topk = _FEEDBACK_HEAD.unpack_from(payload)
+    """A fixed head, then records up to the payload's end."""
+    frame_id, camera_id, tau, n_dets = _FEEDBACK_HEAD.unpack_from(payload)
     _check_finite("feedback tau", tau)
     off = _FEEDBACK_HEAD.size
-    _check_records(payload, off, n_topk, _BOX.size)
-    boxes = []
-    for i in range(n_topk):
-        x, y, w, h = _BOX.unpack_from(payload, off + _BOX.size * i)
-        _check_finite(f"feedback box {i}", x, y, w, h)
-        try:
-            boxes.append(BBox(x, y, w, h))
-        except ValueError as exc:
-            raise MalformedPayload(f"feedback box {i}: {exc}") from exc
-    return ServerFeedback(frame_id, camera_id, tau, tuple(boxes))
+    end = off + n_dets * _DET.size
+    if len(payload) < end:
+        raise TruncatedFrame("records shorter than their counts")
+    if len(payload) > end:
+        raise MalformedPayload(f"{len(payload) - end} bytes after the last record")
+    dets, assigned = _decode_detections(payload, off, n_dets, camera_id)
+    return ServerFeedback(frame_id, camera_id, tau, dets, assigned)
 
 
 def _parse_header(data: bytes) -> tuple[int, int]:
@@ -326,9 +310,10 @@ def block_payload_bytes(block_size: int) -> int:
 def account_traffic(update: BlockUpdate, cfg) -> float:
     """Modeled camera->server bytes for one frame of one camera.
 
-    Wire framing, bitmap and detection records are counted at their encoded
+    The update's wire frame (header and bitmap) is counted at its encoded
     size; the per-fresh-block pixel payload is modeled as raw RGB divided by
-    the configured compression factor. Affine in the bitmap popcount.
+    the configured compression factor. Affine in the bitmap popcount. The
+    downlink, the feedback's detection records, is not counted.
     """
     wire = len(encode_message(update))
     payload = update.payload_blocks * block_payload_bytes(cfg.block_size) / cfg.compression_factor

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..association import assign_cameras, cluster_detections
 from ..detector import Detection, ViewState, fuse_ground_plane, simulate_view_detections
-from ..geometry import CameraModel, GroundPoint, bbox_block_mask, left_sum
+from ..geometry import CameraModel, bbox_block_mask, left_sum
 from ..metrics import MetricAccumulator, oracle_select
 from ..policy import PolicyAgent, target_cost
 from ..scene import (
@@ -78,38 +78,26 @@ class SceneSource:
 
 
 class CameraRuntime:
-    """One camera's frame cycle: select blocks, run the simulated detector,
-    learn from the server's feedback. Owns all per-camera mutable state."""
+    """One camera's frame cycle: select blocks, learn from the server's
+    feedback. Owns the camera's agent and its refresh memory."""
 
     def __init__(self, cfg: RunConfig, camera: CameraModel):
         self.cfg = cfg
         self.camera = camera
         self.grid = cfg.grid
-        self.view_state = ViewState.initial(camera, self.grid, cfg.seed)
+        # -1 = never processed; the camera's own actions alone decide it
+        self.last_refresh = np.full(self.grid.shape, -1, dtype=np.int64)
         self.agent: PolicyAgent | None = None
         if cfg.mode in ("mvsparse", "blockcopy"):
             self.agent = PolicyAgent(camera.camera_id, self.grid, cfg.policy, cfg.seed)
-        self._pending: tuple[Detection, ...] | None = None
-
-    def candidate_detections(self, gt: GtView, frame_id: int) -> tuple[Detection, ...]:
-        """Privileged full-refresh pass (oracle mode) over this camera's
-        ground truth; leaves no trace in the committed state and replays the
-        exact noise of a real full pass."""
-        ones = np.ones(self.grid.shape, dtype=np.uint8)
-        dets, _ = simulate_view_detections(self.view_state, ones, gt, frame_id, self.cfg.detector)
-        return dets
 
     def begin_frame(
         self,
         scene: SceneFrame,
         frame_id: int,
         actions_override: np.ndarray | None = None,
-        gt: GtView | None = None,
     ) -> BlockUpdate:
-        """Select blocks and run the detector; ``gt`` is this camera's
-        ground truth for the scene when the caller has already computed it."""
-        if gt is None:
-            gt = ground_truth_view(scene, self.camera)
+        """Select this frame's blocks."""
         mode = self.cfg.mode
         if actions_override is not None:
             actions = actions_override
@@ -117,40 +105,41 @@ class CameraRuntime:
             actions = np.ones(self.grid.shape, dtype=np.uint8)
         elif self.agent is not None:
             frame = render_view_image(scene, self.camera)
-            actions = self.agent.act(frame, frame_id, self.view_state.last_refresh).actions
+            actions = self.agent.act(frame, frame_id, self.last_refresh).actions
         else:
             raise RuntimeError(f"no action source for mode {mode!r}")
-        dets, self.view_state = simulate_view_detections(
-            self.view_state, actions, gt, frame_id, self.cfg.detector
-        )
-        self._pending = dets
-        return BlockUpdate(frame_id, self.camera.camera_id, actions, dets)
+        # a new array: the agent reads the old one until finish_frame
+        self.last_refresh = np.where(actions.astype(bool), frame_id, self.last_refresh)
+        return BlockUpdate(frame_id, self.camera.camera_id, actions)
 
     def end_frame(self, frame_id: int, feedback: ServerFeedback) -> None:
-        """Learn from the frame's outcome. An ``mvsparse`` agent takes the
-        server's target and assigned boxes and derives the boxes' block mask
-        on its own grid; a ``blockcopy`` agent ignores the feedback and
-        learns against its fixed target with an all-ones mask and no boxes."""
-        dets = self._pending
-        self._pending = None
-        if self.agent is None or dets is None:
+        """Learn from the view's detections in the feedback. An ``mvsparse``
+        agent takes the server's target and assigned boxes and derives the
+        boxes' block mask on its own grid; a ``blockcopy`` agent learns
+        against its fixed target with an all-ones mask and no boxes."""
+        if self.agent is None:
             return
         if self.cfg.mode == "blockcopy":
             tau, boxes = self.cfg.blockcopy_tau, ()
             mask = np.ones(self.grid.shape, dtype=np.uint8)
         else:
-            tau, boxes = feedback.tau, feedback.topk_boxes
+            tau, boxes = feedback.tau, feedback.assigned_boxes
             mask = bbox_block_mask(self.grid, boxes)
-        self.agent.finish_frame(frame_id, dets, boxes, mask, tau)
+        self.agent.finish_frame(frame_id, feedback.detections, boxes, mask, tau)
 
 
 class ServerEngine:
-    """Per-frame server work: association, assignment, fusion, tracking,
-    reward targets, metrics and traffic accounting. Owns all shared state."""
+    """Per-frame server work: detection, association, assignment, fusion,
+    tracking, reward targets, metrics and traffic accounting. Owns all
+    shared state, every view's detector memory included."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.grid = cfg.grid
+        self.view_states = {
+            c.camera_id: ViewState.initial(c, self.grid, cfg.seed) for c in cfg.cameras
+        }
+        self._gt_scene, self._gts = None, {}
         self.tracker = GroundTracker(cfg.tracker)
         self.acc = MetricAccumulator(cfg.match_radius)
         # one entry per completed frame: the run's only count of frames,
@@ -158,21 +147,50 @@ class ServerEngine:
         self.series_blocks: list[int] = []
         self.series_bytes: list[float] = []
 
+    def _ground_truth(self, scene: SceneFrame) -> dict[int, GtView]:
+        """Each camera's ground-truth view of the scene, computed once per scene."""
+        if self._gt_scene is not scene:
+            self._gt_scene = scene
+            self._gts = {c.camera_id: ground_truth_view(scene, c) for c in self.cfg.cameras}
+        return self._gts
+
+    def candidate_detections(
+        self, scene: SceneFrame, frame_id: int
+    ) -> dict[int, tuple[Detection, ...]]:
+        """Privileged full-refresh pass (oracle mode) over each view's
+        ground truth; leaves no trace in the detector memory and replays the
+        exact noise of a real full pass."""
+        ones = np.ones(self.grid.shape, dtype=np.uint8)
+        gts = self._ground_truth(scene)
+        return {
+            cam: simulate_view_detections(vs, ones, gts[cam], frame_id, self.cfg.detector)[0]
+            for cam, vs in self.view_states.items()
+        }
+
     def process(
         self,
         frame_id: int,
         updates: dict[int, BlockUpdate],
-        gt_ground: list[tuple[int, GroundPoint]],
+        scene: SceneFrame,
     ) -> dict[int, ServerFeedback]:
+        """Detect on each view's received blocks; returns each camera its
+        target and its detections in detector order, flagged where assigned."""
         cfg = self.cfg
         cam_ids = cfg.camera_ids
-        clusters = cluster_detections([updates[cam].detections for cam in cam_ids], cfg.cluster_eps)
+        gts = self._ground_truth(scene)
+        dets: dict[int, tuple[Detection, ...]] = {}
+        for cam in cam_ids:
+            dets[cam], self.view_states[cam] = simulate_view_detections(
+                self.view_states[cam], updates[cam].actions, gts[cam], frame_id, cfg.detector
+            )
+        clusters = cluster_detections([dets[cam] for cam in cam_ids], cfg.cluster_eps)
         selected = assign_cameras(clusters, cfg.k_views, cam_ids)
         fused = fuse_ground_plane(clusters)
 
         self.tracker.predict(cfg.dt)
         self.tracker.associate_and_update(fused)
 
+        gt_ground = scene.ground_points()
         self.acc.accumulate_detection_frame([p for _, p in gt_ground], fused)
         self.acc.accumulate_tracking_frame(
             gt_ground, [(t.track_id, t.position) for t in self.tracker.reported()]
@@ -183,10 +201,12 @@ class ServerEngine:
         self.series_bytes.append(traffic)
 
         taus = target_cost({cam: len(selected[cam]) for cam in cam_ids})
-        return {
-            cam: ServerFeedback(frame_id, cam, taus[cam], tuple(d.bbox for d in selected[cam]))
-            for cam in cam_ids
-        }
+        feedbacks = {}
+        for cam in cam_ids:
+            chosen = {id(d) for d in selected[cam]}  # equal detections may differ in assignment
+            assigned = tuple(id(d) in chosen for d in dets[cam])
+            feedbacks[cam] = ServerFeedback(frame_id, cam, taus[cam], dets[cam], assigned)
+        return feedbacks
 
     def report(self) -> dict:
         cfg = self.cfg
@@ -237,17 +257,14 @@ def profile_static_masks(cfg: RunConfig) -> dict[int, np.ndarray]:
     processed and freeze the union of the block masks of the boxes the
     server assigns each view."""
     source = SceneSource(cfg)
-    runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
     engine = ServerEngine(cfg)
     union = {cam: np.zeros(cfg.grid.shape, dtype=np.uint8) for cam in cfg.camera_ids}
     ones = np.ones(cfg.grid.shape, dtype=np.uint8)
     for t in range(min(cfg.static_mask_profile_frames, cfg.frames)):
         scene = source.frame(t)
-        updates = {
-            rt.camera.camera_id: rt.begin_frame(scene, t, actions_override=ones) for rt in runtimes
-        }
-        for cam, feedback in engine.process(t, updates, scene.ground_points()).items():
-            union[cam] |= bbox_block_mask(cfg.grid, feedback.topk_boxes)
+        updates = {cam: BlockUpdate(t, cam, ones) for cam in cfg.camera_ids}
+        for cam, feedback in engine.process(t, updates, scene).items():
+            union[cam] |= bbox_block_mask(cfg.grid, feedback.assigned_boxes)
     return union
 
 
@@ -266,18 +283,10 @@ def run_sim(cfg: RunConfig) -> dict:
 
     for t in range(cfg.frames):
         scene = source.frame(t)
-        gt_ground = scene.ground_points()
-
-        gts: dict[int, GtView] = {}
         if cfg.mode == "oracle":
-            gts = {rt.camera.camera_id: ground_truth_view(scene, rt.camera) for rt in runtimes}
-            candidates = {
-                rt.camera.camera_id: list(rt.candidate_detections(gts[rt.camera.camera_id], t))
-                for rt in runtimes
-            }
             overrides = oracle_select(
-                [p for _, p in gt_ground],
-                candidates,
+                [p for _, p in scene.ground_points()],
+                engine.candidate_detections(scene, t),
                 cfg.k_views,
                 cfg.grid,
                 cfg.match_radius,
@@ -287,11 +296,9 @@ def run_sim(cfg: RunConfig) -> dict:
         for rt in runtimes:
             cam_id = rt.camera.camera_id
             override = overrides[cam_id] if overrides is not None else None
-            updates[cam_id] = rt.begin_frame(
-                scene, t, actions_override=override, gt=gts.get(cam_id)
-            )
+            updates[cam_id] = rt.begin_frame(scene, t, actions_override=override)
 
-        feedbacks = engine.process(t, updates, gt_ground)
+        feedbacks = engine.process(t, updates, scene)
         for rt in runtimes:
             rt.end_frame(t, feedbacks[rt.camera.camera_id])
 

@@ -19,6 +19,7 @@ from mvsparse.runtime.protocol import (
     send_message,
 )
 from mvsparse.runtime.report import dumps_report
+from mvsparse.runtime import simulation
 from mvsparse.runtime.simulation import run_sim
 
 
@@ -128,6 +129,34 @@ class TestDistributedEquivalence:
         assert box["error"] is None
 
 
+class TestArchitecture:
+    def test_the_server_thread_does_all_detection(self, monkeypatch):
+        # a camera node selects and sends blocks; ground truth and the
+        # detector run on the server thread alone
+        threads = {"detect": set(), "server": set(), "camera": set()}
+
+        def on_thread(kind, fn):
+            def recorded(*args, **kwargs):
+                threads[kind].add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return recorded
+
+        for name in ("simulate_view_detections", "ground_truth_view"):
+            monkeypatch.setattr(simulation, name, on_thread("detect", getattr(simulation, name)))
+        for cls, method, kind in (
+            (simulation.ServerEngine, "process", "server"),
+            (simulation.CameraRuntime, "begin_frame", "camera"),
+        ):
+            monkeypatch.setattr(cls, method, on_thread(kind, getattr(cls, method)))
+        cfg = two_camera_cfg(frames=5)
+        run_distributed(cfg, free_port())
+        assert len(threads["server"]) == 1
+        assert threads["detect"] == threads["server"]
+        assert len(threads["camera"]) == len(cfg.camera_ids)
+        assert not threads["camera"] & threads["server"]
+
+
 class TestFailurePaths:
     def test_camera_disconnect_surfaces_connection_lost_with_partial_report(self):
         cfg = two_camera_cfg(frames=6, timeout=5.0).with_overrides(
@@ -170,7 +199,7 @@ class TestFailurePaths:
         thread, box = serve_in_thread(cfg, port)
         sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
         send_message(sock, Hello(0, run_digest(cfg)))
-        send_message(sock, BlockUpdate(1, 0, np.ones(cfg.grid.shape, dtype=np.uint8), ()))
+        send_message(sock, BlockUpdate(1, 0, np.ones(cfg.grid.shape, dtype=np.uint8)))
         thread.join(30.0)
         sock.close()
         err = box["error"]
@@ -192,9 +221,9 @@ class TestFailurePaths:
         socks = [socket.create_connection(("127.0.0.1", port), timeout=5.0) for _ in range(2)]
         for cam, sock in enumerate(socks):
             send_message(sock, Hello(cam, run_digest(cfg)))
-        send_message(socks[0], BlockUpdate(0, 0, np.ones(cfg.grid.shape, dtype=np.uint8), ()))
+        send_message(socks[0], BlockUpdate(0, 0, np.ones(cfg.grid.shape, dtype=np.uint8)))
         grid = cfg.with_overrides(block_size=block_size).grid
-        send_message(socks[1], BlockUpdate(0, label, np.ones(grid.shape, dtype=np.uint8), ()))
+        send_message(socks[1], BlockUpdate(0, label, np.ones(grid.shape, dtype=np.uint8)))
         thread.join(30.0)
         for sock in socks:
             sock.close()
@@ -289,7 +318,7 @@ class TestFailurePaths:
             with conn:
                 read_message(conn)  # hello
                 update = read_message(conn)
-                send_message(conn, ServerFeedback(update.frame_id, 1, 0.5, ()))
+                send_message(conn, ServerFeedback(update.frame_id, 1, 0.5, (), ()))
                 conn.recv(1)  # hold the connection until the camera hangs up
 
         thread = threading.Thread(target=fake_server, daemon=True)

@@ -36,26 +36,27 @@ from mvsparse.runtime.protocol import (
 DIGEST = bytes(range(32))  # a config digest: any 32 bytes
 
 
-def sample_update(popcount=7, n_dets=3, frame_id=12):
-    rng = np.random.default_rng(popcount + n_dets)
+def sample_update(popcount=7, frame_id=12):
+    rng = np.random.default_rng(popcount)
     actions = np.zeros((5, 9), dtype=np.uint8)
     idx = rng.choice(45, size=popcount, replace=False)
     actions.flat[idx] = 1
+    return BlockUpdate(frame_id, 2, actions)
+
+
+def sample_feedback(n_dets=4):
+    """Feedback to camera 1 whose records take all four flag bytes."""
+    rng = np.random.default_rng(n_dets)
     dets = tuple(
         Detection(
-            2,
+            1,
             BBox(rng.uniform(0, 1000), rng.uniform(0, 500), rng.uniform(5, 80), rng.uniform(5, 120)),
             GroundPoint(rng.uniform(0, 12), rng.uniform(0, 36)),
-            bool(rng.random() < 0.5),
+            i % 2 == 1,
         )
-        for _ in range(n_dets)
+        for i in range(n_dets)
     )
-    return BlockUpdate(frame_id, 2, actions, dets)
-
-
-def sample_feedback():
-    boxes = tuple(BBox(10.0 * i + 1, 5.0 * i + 1, 30.0, 60.0) for i in range(4))
-    return ServerFeedback(9, 1, 0.625, boxes)
+    return ServerFeedback(9, 1, 0.625, dets, tuple(i // 2 % 2 == 1 for i in range(n_dets)))
 
 
 class TestRoundTrip:
@@ -71,7 +72,7 @@ class TestRoundTrip:
         assert used == len(encode_message(update))
 
     def test_block_update_empty(self):
-        update = BlockUpdate(0, 0, np.zeros((5, 9), dtype=np.uint8), ())
+        update = BlockUpdate(0, 0, np.zeros((5, 9), dtype=np.uint8))
         msg, _ = decode_message(encode_message(update))
         assert msg == update
 
@@ -79,6 +80,17 @@ class TestRoundTrip:
         fb = sample_feedback()
         msg, _ = decode_message(encode_message(fb))
         assert msg == fb
+        assert [(d.stale, a) for d, a in zip(msg.detections, msg.assigned)] == [
+            (False, False), (True, False), (False, True), (True, True)
+        ]
+        assert msg.assigned_boxes == tuple(fb.detections[i].bbox for i in (2, 3))
+
+    def test_feedback_needs_one_flag_per_detection(self):
+        fb = sample_feedback()
+        short = ServerFeedback(9, 1, 0.625, fb.detections, fb.assigned[:-1])
+        for use in (encode_message, lambda msg: msg.assigned_boxes):
+            with pytest.raises(ValueError, match="zip"):
+                use(short)
 
     def test_concatenated_frames(self):
         a, b = encode_message(Hello(1, DIGEST)), encode_message(sample_update())
@@ -88,10 +100,14 @@ class TestRoundTrip:
         assert msg2 == sample_update()
 
     def test_detection_record_is_49_bytes(self):
-        # box and ground point as six doubles, then the stale flag
+        # box and ground point as six doubles, then the flag byte
         assert _DET.size == 49
-        three, none = (encode_message(sample_update(n_dets=n)) for n in (3, 0))
+        three, none = (encode_message(sample_feedback(n_dets=n)) for n in (3, 0))
         assert len(three) - len(none) == 3 * 49
+
+    def test_update_is_the_bitmap_alone(self):
+        # header, frame, camera, rows, cols, then 45 bits in 6 bytes
+        assert len(encode_message(sample_update())) == 10 + 8 + 6
 
     def test_payload_blocks_is_popcount(self):
         update = sample_update(popcount=11)
@@ -113,7 +129,7 @@ class TestTypedErrors:
 
     def test_version_2_feedback_rejected(self):
         # version 2 feedback also carried the grid and the boxes' block bitmap
-        boxes = sample_feedback().topk_boxes
+        boxes = [d.bbox for d in sample_feedback().detections]
         payload = struct.pack("<IHBBdH", 9, 1, 5, 9, 0.625, len(boxes)) + bytes(6)
         payload += b"".join(struct.pack("<4d", b.x, b.y, b.w, b.h) for b in boxes)
         with pytest.raises(VersionMismatch):
@@ -126,9 +142,15 @@ class TestTypedErrors:
 
     def test_version_4_update_rejected(self):
         # a version 4 detection record also carried a score: 57 bytes
-        payload = _update_payload(struct.pack("<6ddB", 10, 20, 30, 60, 1.5, 2.5, 0.9, 0))
+        payload = _v5_update_payload(struct.pack("<6ddB", 10, 20, 30, 60, 1.5, 2.5, 0.9, 0))
         with pytest.raises(VersionMismatch):
             decode_message(_header(version=4, mtype=2, length=len(payload)) + payload)
+
+    def test_version_5_update_rejected(self):
+        # a version 5 update carried the camera's 49-byte detection records
+        payload = _v5_update_payload(struct.pack("<6dB", 10, 20, 30, 60, 1.5, 2.5, 0))
+        with pytest.raises(VersionMismatch):
+            decode_message(_header(version=5, mtype=2, length=len(payload)) + payload)
 
     def test_hello_digest_must_be_32_bytes(self):
         with pytest.raises(ValueError, match="32"):
@@ -155,7 +177,7 @@ class TestTypedErrors:
             decode_message(data[:-5])
 
     def test_truncated_detection_records(self):
-        data = bytearray(encode_message(sample_update(n_dets=2)))
+        data = bytearray(encode_message(sample_feedback(n_dets=2)))
         # shrink payload but fix up the declared length to stay consistent
         cut = 20
         del data[-cut:]
@@ -191,9 +213,9 @@ def _header(magic=b"MVSP", version=VERSION, mtype=2, length=0):
     return struct.pack("<4sBBI", magic, version, mtype, length)
 
 
-def _update_payload(record: bytes) -> bytes:
-    """Frame 0 of camera 0 on a 1x1 grid, its block fresh, with one
-    detection record."""
+def _v5_update_payload(record: bytes) -> bytes:
+    """A version 5 update: frame 0 of camera 0 on a 1x1 grid, its block
+    fresh, with one detection record."""
     return struct.pack("<IHBBH", 0, 0, 1, 1, 1) + b"\x01" + record
 
 
@@ -245,7 +267,7 @@ class TestCanonicalFrames:
 
     def test_trailing_update_bytes_rejected(self):
         data = encode_message(sample_update())
-        with pytest.raises(MalformedPayload, match="after the last record"):
+        with pytest.raises(MalformedPayload, match="after the bitmap"):
             decode_message(_with_payload(data, data[10:] + b"\x00" * 8))
 
     def test_trailing_feedback_bytes_rejected(self):
@@ -256,35 +278,29 @@ class TestCanonicalFrames:
     def test_bitmap_padding_bit_rejected(self):
         # 5x9 grid: 45 bits in 6 bytes, so bit 7 of the sixth byte is padding
         data = bytearray(encode_message(sample_update()))
-        data[10 + 10 + 5] |= 0x80
+        data[10 + 8 + 5] |= 0x80
         with pytest.raises(MalformedPayload, match="padding"):
             decode_message(bytes(data))
 
-    def test_stale_flag_above_one_rejected(self):
-        data = bytearray(encode_message(sample_update(n_dets=1)))
-        data[-1] = 2  # the stale flag is the last byte of a detection record
-        with pytest.raises(MalformedPayload, match="stale flag"):
-            decode_message(bytes(data))
+    def test_flag_byte_above_three_rejected(self):
+        data = bytearray(encode_message(sample_feedback(n_dets=1)))
+        for flags in (4, 0x80, 0xFF):
+            data[-1] = flags  # the flag byte is the last byte of a detection record
+            with pytest.raises(MalformedPayload, match="flag byte"):
+                decode_message(bytes(data))
 
 
-def _update_frame(x, y, w, h, gx, gy):
-    payload = _update_payload(struct.pack("<6dB", x, y, w, h, gx, gy, 1))
-    return _header(mtype=2, length=len(payload)) + payload
-
-
-def _feedback_frame(tau, x, y, w, h):
-    payload = struct.pack("<IHdH", 0, 0, tau, 1) + struct.pack("<4d", x, y, w, h)
+def _feedback_frame(tau, x, y, w, h, gx, gy):
+    """Feedback with one record, stale and assigned: both flag bits set."""
+    payload = struct.pack("<IHdH", 0, 0, tau, 1) + struct.pack("<6dB", x, y, w, h, gx, gy, 3)
     return _header(mtype=3, length=len(payload)) + payload
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
-# each frame builder with the strategy of each of its doubles
-RECORDS = [
-    (_update_frame, [FINITE, FINITE, POSITIVE, POSITIVE, FINITE, FINITE]),
-    (_feedback_frame, [FINITE, FINITE, FINITE, POSITIVE, POSITIVE]),
-]
+# the strategy of each double of a feedback frame: tau, box, ground point
+RECORD = [FINITE, FINITE, FINITE, POSITIVE, POSITIVE, FINITE, FINITE]
 
 
 class TestNonFiniteValues:
@@ -293,12 +309,12 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize(
         "frame",
         [
-            _update_frame(math.nan, 20.0, 30.0, 60.0, 1.5, 2.5),
-            _update_frame(10.0, 20.0, 30.0, 60.0, math.inf, 2.5),
-            _feedback_frame(math.nan, 10.0, 20.0, 30.0, 60.0),
-            _feedback_frame(0.5, -math.inf, 20.0, 30.0, 60.0),
+            _feedback_frame(0.5, 10.0, 20.0, math.nan, 60.0, 1.5, 2.5),
+            _feedback_frame(0.5, 10.0, 20.0, 30.0, 60.0, math.inf, 2.5),
+            _feedback_frame(math.nan, 10.0, 20.0, 30.0, 60.0, 1.5, 2.5),
+            _feedback_frame(0.5, -math.inf, 20.0, 30.0, 60.0, 1.5, 2.5),
         ],
-        ids=["update-box-x-nan", "update-ground-x-inf", "feedback-tau-nan", "feedback-box-x-minus-inf"],
+        ids=["feedback-box-w-nan", "feedback-ground-x-inf", "feedback-tau-nan", "feedback-box-x-minus-inf"],
     )
     def test_refused(self, frame):
         with pytest.raises(MalformedPayload, match="non-finite"):
@@ -307,14 +323,14 @@ class TestNonFiniteValues:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_finite_records_round_trip_and_any_non_finite_double_is_refused(self, data):
-        build, fields = data.draw(st.sampled_from(RECORDS))
-        values = [data.draw(f) for f in fields]
-        frame = build(*values)
+        values = [data.draw(f) for f in RECORD]
+        frame = _feedback_frame(*values)
         msg, used = decode_message(frame)
         assert used == len(frame) and encode_message(msg) == frame
+        assert msg.detections[0].stale and msg.assigned == (True,)
         values[data.draw(st.integers(0, len(values) - 1))] = data.draw(NON_FINITE)
         with pytest.raises(MalformedPayload):
-            decode_message(build(*values))
+            decode_message(_feedback_frame(*values))
 
 
 VALID_FRAMES = [
@@ -322,8 +338,9 @@ VALID_FRAMES = [
     for m in (
         Hello(3, DIGEST),
         sample_update(),
-        sample_update(popcount=0, n_dets=0),
+        sample_update(popcount=0),
         sample_feedback(),
+        sample_feedback(n_dets=0),
     )
 ]
 
@@ -368,7 +385,7 @@ class TestDecodeProperties:
 class TestAccountTraffic:
     def test_full_frame_arithmetic(self):
         cfg = RunConfig(mode="full", frames=1).with_overrides(compression_factor=1.0)
-        update = BlockUpdate(0, 0, np.ones((5, 9), dtype=np.uint8), ())
+        update = BlockUpdate(0, 0, np.ones((5, 9), dtype=np.uint8))
         per_cam = account_traffic(update, cfg)
         wire = len(encode_message(update))
         assert per_cam == pytest.approx(wire + 45 * 49152)
@@ -376,7 +393,7 @@ class TestAccountTraffic:
 
     def test_zero_fresh_blocks_counts_wire_only(self):
         cfg = RunConfig(mode="full", frames=1)
-        update = BlockUpdate(0, 0, np.zeros((5, 9), dtype=np.uint8), ())
+        update = BlockUpdate(0, 0, np.zeros((5, 9), dtype=np.uint8))
         assert account_traffic(update, cfg) == len(encode_message(update))
 
     def test_affine_in_popcount(self):
@@ -386,7 +403,7 @@ class TestAccountTraffic:
         for popcount in (0, 1, 5, 20, 45):
             actions = np.zeros(45, dtype=np.uint8)
             actions[:popcount] = 1
-            update = BlockUpdate(0, 0, actions.reshape(5, 9), sample_update().detections)
+            update = BlockUpdate(0, 0, actions.reshape(5, 9))
             total = account_traffic(update, cfg)
             if prev is not None:
                 assert total - prev[1] == pytest.approx((popcount - prev[0]) * per_block)
@@ -397,7 +414,7 @@ class TestAccountTraffic:
         # 0.86/2.66 MB ratio within 2 percent under the traffic model
         cfg = RunConfig(mode="full", frames=1)
         per_block = block_payload_bytes(cfg.block_size) / cfg.compression_factor
-        wire = len(encode_message(sample_update(popcount=14, n_dets=5)))
+        wire = len(encode_message(sample_update(popcount=14)))
         sparse = wire + 14.43 * per_block
         full = wire + 45.0 * per_block
         assert sparse / full == pytest.approx(0.86 / 2.66, rel=0.02)

@@ -1,4 +1,5 @@
 import builtins
+import copy
 import hashlib
 import json
 import math
@@ -22,8 +23,8 @@ from mvsparse.runtime.config import (
 from mvsparse.runtime.report import compare_table, dumps_report, load_report, write_report
 from mvsparse.runtime.simulation import CameraRuntime, SceneSource, ServerEngine, run_sim
 from mvsparse.metrics import oracle_select
-from mvsparse.scene import Pedestrian, SceneFrame, ground_truth_view, project_pedestrian_box
-from mvsparse.detector import DetectorConfig
+from mvsparse.scene import Pedestrian, SceneFrame, project_pedestrian_box
+from mvsparse.detector import DetectorConfig, ViewState
 from mvsparse.geometry import GroundPoint, camera_from_pose
 from test_geometry import blocks_for_bbox, project_image_to_ground
 
@@ -306,11 +307,11 @@ class TestRunSimDeterminism:
     # speedup must leave these unchanged; a change that is meant to move
     # the scores re-pins them and says why.
     PINNED_DIGESTS = {
-        "full": "a0033d3ed2404f7aba75ca8f5bb1113a9f4fdb5f5731f8b5504f4d79b855cfa5",
-        "mvsparse": "d22ac6384b40cdcb2a10dbb703e49467db756dd473fb81cd687dfd3a21bdfe88",
-        "blockcopy": "3a936bf8cadf48bef501fbddd9c6e21b8df7959dc3fe82afacadcc29c452fd57",
-        "static_mask": "59e05531046a0bd9208c9d0d0fb72c582f7cbe1ddbedcf7aab905915b8acc32e",
-        "oracle": "c858eb56fd620d00e9c536f0cc00069f3ffab9a18c38b28aec249c74fe9288c0",
+        "full": "9825ebb311aa7eb405d9f9c25989c01c8b2c19b3ed26dab2fa611053c283fbae",
+        "mvsparse": "58b750de96583e1710b7ca8bf2b5711d0580477980d1cae031f7409c81966975",
+        "blockcopy": "cc76302a1e8f88445f6a76f9a1e9a07c792ebf23680146e22518470c10681377",
+        "static_mask": "ee07db5ce3be91c8ca2c132928046d359d318dc449b105511ad8c20dad3d97dc",
+        "oracle": "b971282f27c8ff0c99efc39bf96ce2d6a96371529b5f057d229a4dee0b85d128",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
@@ -500,21 +501,43 @@ class TestModes:
             run_sim(cfg)
 
 
+def stepped(cfg):
+    """Run the cameras and the server engine frame by frame; yields (frame,
+    camera runtimes, engine) after each frame."""
+    source = SceneSource(cfg)
+    runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
+    engine = ServerEngine(cfg)
+    for t in range(cfg.frames):
+        scene = source.frame(t)
+        updates = {rt.camera.camera_id: rt.begin_frame(scene, t) for rt in runtimes}
+        feedbacks = engine.process(t, updates, scene)
+        for rt in runtimes:
+            rt.end_frame(t, feedbacks[rt.camera.camera_id])
+        yield t, runtimes, engine
+
+
 class TestCameraRuntime:
+    """A camera runtime and the server engine that detects on its blocks."""
+
     def test_detection_history_follows_the_detector_refresh_memory(self):
         # 40 frames cross the forced full refresh at frame 32
-        cfg = small_cfg(mode="mvsparse", frames=40)
-        source = SceneSource(cfg)
-        runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
-        engine = ServerEngine(cfg)
-        for t in range(cfg.frames):
-            scene = source.frame(t)
-            updates = {rt.camera.camera_id: rt.begin_frame(scene, t) for rt in runtimes}
-            feedbacks = engine.process(t, updates, scene.ground_points())
+        for t, runtimes, engine in stepped(small_cfg(mode="mvsparse", frames=40)):
             for rt in runtimes:
-                rt.end_frame(t, feedbacks[rt.camera.camera_id])
-                refreshed = {f for f in rt.view_state.last_refresh.flat if f >= 0}
+                view_state = engine.view_states[rt.camera.camera_id]
+                refreshed = {f for f in view_state.last_refresh.flat if f >= 0}
                 assert set(rt.agent.detection_history) == refreshed | {t}
+
+    def test_camera_refresh_memory_equals_the_server_detector_memory(self):
+        # the camera keeps its own last_refresh from its own actions; 40
+        # frames cross the forced full refresh at frame 32
+        for _, runtimes, engine in stepped(small_cfg(mode="mvsparse", frames=40)):
+            for rt in runtimes:
+                view_state = engine.view_states[rt.camera.camera_id]
+                assert np.array_equal(rt.last_refresh, view_state.last_refresh)
+
+    def test_camera_holds_no_detector_state(self):
+        rt = CameraRuntime(small_cfg(mode="mvsparse"), default_cameras()[0])
+        assert not any(isinstance(v, ViewState) for v in vars(rt).values())
 
 
     @pytest.mark.parametrize(
@@ -527,17 +550,17 @@ class TestCameraRuntime:
         cfg = cfg.with_overrides(detector=DetectorConfig(fp_rate=fp_rate))
         source = SceneSource(cfg)
         runtimes = [CameraRuntime(cfg, cam) for cam in cfg.cameras]
+        engine = ServerEngine(cfg)
         ones = np.ones(cfg.grid.shape, dtype=np.uint8)
         for t in range(cfg.frames):
             scene = source.frame(t)
-            gts = {rt.camera.camera_id: ground_truth_view(scene, rt.camera) for rt in runtimes}
-            candidates = {}
-            for rt in runtimes:
-                cam_id = rt.camera.camera_id
-                candidates[cam_id] = rt.candidate_detections(gts[cam_id], t)
-                before = rt.view_state
-                assert rt.begin_frame(scene, t, ones, gts[cam_id]).detections == candidates[cam_id]
-                rt.view_state = before
+            candidates = engine.candidate_detections(scene, t)
+            # a committed full pass, on a copy that is then dropped
+            full_pass = copy.deepcopy(engine).process(
+                t, {rt.camera.camera_id: rt.begin_frame(scene, t, ones) for rt in runtimes}, scene
+            )
+            for cam_id in cfg.camera_ids:
+                assert full_pass[cam_id].detections == candidates[cam_id]
             masks = oracle_select(
                 [p for _, p in scene.ground_points()],
                 {cam_id: list(dets) for cam_id, dets in candidates.items()},
@@ -545,9 +568,12 @@ class TestCameraRuntime:
                 cfg.grid,
                 cfg.match_radius,
             )
-            for rt in runtimes:
-                cam_id = rt.camera.camera_id
-                committed = rt.begin_frame(scene, t, masks[cam_id], gts[cam_id]).detections
+            updates = {
+                rt.camera.camera_id: rt.begin_frame(scene, t, masks[rt.camera.camera_id])
+                for rt in runtimes
+            }
+            for cam_id, feedback in engine.process(t, updates, scene).items():
+                committed = feedback.detections
                 # false positives land in the mask's own blocks, so only
                 # without them is every fresh detection a candidate
                 if fp_rate == 0.0:
